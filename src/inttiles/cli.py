@@ -3,7 +3,8 @@
 All reports are UTF-8 JSON on stdout (one envelope per invocation, or one
 JSON line per set for `corpus`); diagnostics go to stderr. Exit codes:
 0 computed result (including "does not tile"), 2 usage error,
-3 inconclusive (budget exhausted), 4 internal-consistency fault.
+3 inconclusive (budget exhausted), 4 internal-consistency fault or any
+other unexpected error (one line on stderr).
 """
 
 from __future__ import annotations
@@ -309,6 +310,12 @@ def main(argv=None, out=None, err=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=err)
         return 2
+    except Exception as exc:
+        # Last resort: an unexpected exception still ends in a documented
+        # exit code with one line on stderr, never a traceback.
+        detail = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=err)
+        return 4
 
     subcommand = args.subcommand
     if subcommand == "construct":

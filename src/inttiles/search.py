@@ -276,7 +276,7 @@ def top_power_witnesses(tiling: CyclicTiling) -> list[tuple[int, int, int]]:
     modulus = tiling.modulus
     if least_period(tiling.complement, modulus) != modulus:
         raise ValueError("modulus is not the least period of the complement")
-    mask = tiling.tile.mask_polynomial()
+    mask = dict.fromkeys(tiling.tile.elements, 1)
     fac = factorize(modulus)
     divs = fac.divisors()
     witnesses = []

@@ -247,6 +247,16 @@ def test_internal_fault_exit_code(monkeypatch):
     assert out == ""
 
 
+def test_unexpected_exception_is_one_line_exit_4():
+    # find_complement still recurses once per placed translate, so this set
+    # hits the recursion limit; the CLI must report it, not a traceback.
+    code, out, err = run_cli("min-period", "--set", "0,2048")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_jobs_env_var_validation(monkeypatch):
     monkeypatch.setenv(cli.JOBS_ENV_VAR, "many")
     code, _, err = run_cli("min-period", "--set", "0,1")

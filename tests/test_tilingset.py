@@ -1,13 +1,17 @@
 import json
 import random
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inttiles.constructions import standard_tile
+from inttiles.polyring import cyclotomic_divides, divisors, factorize, mul_mod_cyclic
 from inttiles.tilingset import (
     CyclicTiling,
     IntegerSet,
+    _cyclotomic_route,
     cyclotomic_divisors,
     is_tiling,
     least_period,
@@ -118,6 +122,19 @@ def test_is_tiling_size_mismatch_is_not_a_tiling():
     assert not is_tiling(IntegerSet.of(0, 1, 2), IntegerSet.of(0, 2), 5).tiles
 
 
+def _box_pair(factors, split):
+    """Residues of a box tiling of Z_prod(factors): A on factors[:split]."""
+    a, scale = [0], 1
+    for p in factors[:split]:
+        a = [x + i * scale for x in a for i in range(p)]
+        scale *= p
+    b = [0]
+    for p in factors[split:]:
+        b = [x + i * scale for x in b for i in range(p)]
+        scale *= p
+    return a, b
+
+
 def _random_instance(rng):
     m = rng.randrange(1, 41)
     kind = rng.random()
@@ -126,26 +143,10 @@ def _random_instance(rng):
         b = sorted(rng.sample(range(m), rng.randrange(1, min(m, 7) + 1)))
         return IntegerSet(a), IntegerSet(b), m
     # random box tiling of Z_m, translated: guaranteed positive cases
-    factors = []
-    rest = m
-    d = 2
-    while d * d <= rest:
-        while rest % d == 0:
-            factors.append(d)
-            rest //= d
-        d += 1
-    if rest > 1:
-        factors.append(rest)
+    factors = [p for p, e in factorize(m) for _ in range(e)]
     rng.shuffle(factors)
     split = rng.randrange(len(factors) + 1) if factors else 0
-    a_elems, scale = [0], 1
-    for p in factors[:split]:
-        a_elems = [x + i * scale for x in a_elems for i in range(p)]
-        scale *= p
-    b_elems = [0]
-    for p in factors[split:]:
-        b_elems = [x + i * scale for x in b_elems for i in range(p)]
-        scale *= p
+    a_elems, b_elems = _box_pair(factors, split)
     da, db = rng.randrange(m), rng.randrange(m)
     a = IntegerSet(sorted((x + da) % m for x in a_elems))
     b = IntegerSet(sorted((x + db) % m for x in b_elems))
@@ -161,6 +162,86 @@ def test_route_agreement_randomized():
         if is_tiling(a, b, m).tiles:
             tilings += 1
     assert tilings > 100  # the generator produces real positives
+
+
+# --- cyclotomic route: per-factor criterion vs the dense product -------------
+
+
+def _dense_cyclotomic_route(tile, complement, modulus):
+    """Reference: fold the reduced product A(X)B(X) mod X^M - 1 per divisor."""
+    if len(tile) * len(complement) != modulus:
+        return False, None
+    product = mul_mod_cyclic(
+        tile.mask_polynomial(), complement.mask_polynomial(), modulus
+    )
+    coeffs = list(product.coeffs) + [0] * (modulus - len(product.coeffs))
+    for s in divisors(modulus)[1:]:
+        if not cyclotomic_divides(s, [sum(coeffs[r::s]) for r in range(s)]):
+            return False, s
+    return True, None
+
+
+@st.composite
+def route_instances(draw):
+    """Box tilings and their near misses, size mismatches, lifted elements
+    (>= M) and tiles that are not injective mod M, all translated."""
+    m = draw(st.integers(1, 96))
+    factors = draw(st.permutations([p for p, e in factorize(m) for _ in range(e)]))
+    a, b = _box_pair(factors, draw(st.integers(0, len(factors))))
+    lift = st.integers(0, 2)
+    a = [x + k * m for x, k in zip(a, draw(st.lists(lift, min_size=len(a), max_size=len(a))))]
+    b = [x + k * m for x, k in zip(b, draw(st.lists(lift, min_size=len(b), max_size=len(b))))]
+    kind = draw(st.sampled_from(("box", "near_miss", "mismatch", "non_injective")))
+    if kind == "near_miss":
+        i = draw(st.integers(0, len(b) - 1))
+        b[i] = draw(st.integers(0, 3 * m).filter(lambda x: x not in b))
+    elif kind == "mismatch":
+        a.append(draw(st.integers(0, 3 * m).filter(lambda x: x not in a)))
+    elif kind == "non_injective":
+        if len(a) >= 2:
+            a[0] = a[1] + m  # same size, two elements in one residue class
+        else:
+            a.append(a[0] + m)  # e.g. {0, M}
+    da, db = draw(st.integers(0, 2 * m)), draw(st.integers(0, 2 * m))
+    return (
+        IntegerSet.from_iterable(x + da for x in a),
+        IntegerSet.from_iterable(x + db for x in b),
+        m,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(route_instances())
+def test_cyclotomic_route_matches_dense_product(instance):
+    a, b, m = instance
+    expected = _dense_cyclotomic_route(a, b, m)
+    assert _cyclotomic_route(a, b, m) == expected
+    verdict = is_tiling(a, b, m)  # raises if the routes disagree
+    assert (verdict.tiles, verdict.failing_divisor) == expected
+
+
+def test_is_tiling_builds_no_dense_product(monkeypatch):
+    k = 7
+    tile = IntegerSet(k * x for x in standard_tile([(2, 2), (3, 1), (5, 1)]))
+    complement = IntegerSet(range(k))
+    near_miss = IntegerSet(list(range(k - 1)) + [k])
+    modulus = 60 * k
+    expected_miss = _dense_cyclotomic_route(tile, near_miss, modulus)
+    assert expected_miss[0] is False and expected_miss[1] is not None
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense mask polynomial or cyclic product built")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "inttiles" and hasattr(module, "mul_mod_cyclic"):
+            monkeypatch.setattr(module, "mul_mod_cyclic", forbidden)
+    monkeypatch.setattr(IntegerSet, "mask_polynomial", forbidden)
+
+    verdict = is_tiling(tile, complement, modulus)
+    assert verdict.tiles and verdict.failing_divisor is None
+    verdict = is_tiling(tile, near_miss, modulus)
+    assert not verdict.tiles
+    assert verdict.failing_divisor == expected_miss[1]
 
 
 # --- least_period ------------------------------------------------------------
