@@ -48,7 +48,6 @@ from .tilingset import (
     CyclicTiling,
     IntegerSet,
     TilingVerdict,
-    cyclotomic_divisors,
     is_tiling,
     least_period,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "cm_report",
     "cyclotomic",
     "cyclotomic_divides",
-    "cyclotomic_divisors",
     "default_cap",
     "diameter_counterexample",
     "divisors",

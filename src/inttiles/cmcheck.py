@@ -4,7 +4,9 @@ The spectrum of a tile A is the set of prime powers p^a whose cyclotomic
 polynomial divides the mask polynomial of A. Condition (T1) compares |A|
 with the product of Phi_{p^a}(1) = p over the spectrum; (T2) requires the
 cyclotomic of every cross-prime product of spectrum elements to divide A
-as well. Both checks are exact.
+as well. Both checks are exact. A report computes the spectrum once and
+reads (T1), (T2) and the lcm divisibility off it; every divisibility test
+runs on the sparse mask, an exponent -> coefficient map of the elements.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .polyring import cyclotomic_divides, euler_phi, factorize, is_prime, primes_up_to
+from .polyring import cyclotomic_divides, euler_phi, is_prime, primes_up_to, smallest_prime_factor
 from .tilingset import IntegerSet
 
 
@@ -26,7 +28,7 @@ def spectrum(tile: IntegerSet) -> tuple[int, ...]:
     p^(a-1) * (p-1) stays within the diameter.
     """
     diam = tile.diameter()
-    mask = tile.mask_polynomial()
+    mask = dict.fromkeys(tile.elements, 1)
     found = []
     for p in primes_up_to(diam + 1):
         power = p
@@ -39,34 +41,13 @@ def spectrum(tile: IntegerSet) -> tuple[int, ...]:
 
 def check_t1(tile: IntegerSet) -> bool:
     """(T1): |A| equals the product of Phi_s(1) = p over spectrum entries s = p^a."""
-    product = 1
-    for s in spectrum(tile):
-        product *= factorize(s).primes[0]
-    return product == len(tile)
+    return cm_report(tile).t1
 
 
 def check_t2(tile: IntegerSet) -> bool:
     """(T2): for spectrum powers of pairwise distinct primes, the cyclotomic
-    of their product divides the mask polynomial.
-
-    Products whose totient exceeds the diameter cannot divide and settle
-    the verdict immediately.
-    """
-    diam = tile.diameter()
-    mask = tile.mask_polynomial()
-    by_prime: dict[int, list[int]] = {}
-    for s in spectrum(tile):
-        by_prime.setdefault(factorize(s).primes[0], []).append(s)
-    primes = sorted(by_prime)
-    for k in range(2, len(primes) + 1):
-        for chosen_primes in itertools.combinations(primes, k):
-            for powers in itertools.product(*(by_prime[p] for p in chosen_primes)):
-                index = math.prod(powers)
-                if euler_phi(index) > diam:
-                    return False
-                if not cyclotomic_divides(index, mask):
-                    return False
-    return True
+    of their product divides the mask polynomial."""
+    return cm_report(tile).t2
 
 
 @dataclass(frozen=True)
@@ -107,18 +88,31 @@ class CmReport:
 def cm_report(tile: IntegerSet) -> CmReport:
     """Assemble the full report for a normalized tile."""
     spec = spectrum(tile)
-    lcm_sa = math.lcm(*spec) if spec else 1
     diam = tile.diameter()
-    phi_lcm_divides = cyclotomic_divides(lcm_sa, tile.mask_polynomial())
+    mask = dict.fromkeys(tile.elements, 1)
+    by_prime: dict[int, list[int]] = {}
+    for s in spec:
+        by_prime.setdefault(smallest_prime_factor(s), []).append(s)
+    t1 = math.prod(p ** len(powers) for p, powers in by_prime.items()) == len(tile)
+    # A product whose totient exceeds the diameter cannot divide the mask,
+    # so it settles (T2) without a divisibility test.
+    t2 = all(
+        euler_phi(index) <= diam and cyclotomic_divides(index, mask)
+        for k in range(2, len(by_prime) + 1)
+        for chosen in itertools.combinations(sorted(by_prime), k)
+        for index in map(math.prod, itertools.product(*(by_prime[p] for p in chosen)))
+    )
+    lcm_sa = math.lcm(*spec)
+    phi_lcm_divides = cyclotomic_divides(lcm_sa, mask)
     half_bound = 2 * diam >= lcm_sa if phi_lcm_divides else None
     eq3 = None
     if len(tile) > 1:
-        p = factorize(len(tile)).primes[0]
+        p = smallest_prime_factor(len(tile))
         eq3 = p * diam >= (p - 1) * lcm_sa
     return CmReport(
         spectrum=spec,
-        t1=check_t1(tile),
-        t2=check_t2(tile),
+        t1=t1,
+        t2=t2,
         lcm_sa=lcm_sa,
         phi_lcm_divides=phi_lcm_divides,
         diam=diam,

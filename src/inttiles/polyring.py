@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping
 
 
 @dataclass(frozen=True, init=False)
@@ -294,31 +294,23 @@ def mul_mod_cyclic(f: IntPolynomial, g: IntPolynomial, modulus: int) -> IntPolyn
     return IntPolynomial(out)
 
 
-PolyLike = Union[IntPolynomial, Mapping[int, int], Sequence[int]]
-
-
-def cyclotomic_divides(s: int, f: PolyLike) -> bool:
+def cyclotomic_divides(s: int, f: Mapping[int, int]) -> bool:
     """Whether the s-th cyclotomic polynomial divides f, exactly.
+
+    f is a sparse polynomial, a mapping exponent -> coefficient; a set's
+    mask is ``dict.fromkeys(elements, 1)`` and an IntPolynomial's is
+    ``dict(poly.terms())``.
 
     Equivalent to f vanishing at a primitive s-th root of unity. Instead of
     long division, f is reduced mod X^s - 1 and then rewritten over an
     integral basis of the s-th cyclotomic field, peeling off one prime of s
     at a time; the only arithmetic is integer addition, so the test is
     exact and fast even when s is large and f is sparse.
-
-    f may be an IntPolynomial, a mapping exponent -> coefficient, or a
-    dense coefficient sequence.
     """
     if s < 1:
         raise ValueError("s must be positive")
     agg: dict[int, int] = defaultdict(int)
-    if isinstance(f, IntPolynomial):
-        items: Iterable[tuple[int, int]] = f.terms()
-    elif isinstance(f, Mapping):
-        items = f.items()
-    else:
-        items = enumerate(f)
-    for e, c in items:
+    for e, c in f.items():
         if c:
             agg[e % s] += c
     return _vanishes({e: c for e, c in agg.items() if c}, s)

@@ -158,7 +158,7 @@ def restricted_candidates(size: int, cap: int) -> Iterator[int]:
         v = heapq.heappop(heap)
         if v > cap:
             return
-        if v % size == 0 and all(v % p == 0 for p in primes):
+        if v % size == 0:
             yield v
         for p in primes:
             w = v * p

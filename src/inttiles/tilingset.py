@@ -17,12 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .faults import InconsistentRoutesError
-from .polyring import (
-    IntPolynomial,
-    cyclotomic_divides,
-    divisors,
-    euler_phi,
-)
+from .polyring import IntPolynomial, cyclotomic_divides, divisors
 
 
 @dataclass(frozen=True, init=False)
@@ -155,7 +150,6 @@ def _direct_route(tile, complement, modulus):
 def _cyclotomic_route(tile, complement, modulus):
     if len(tile) * len(complement) != modulus:
         return False, None
-    # Sparse exponent maps: a tuple would be read as dense coefficients.
     a_terms = dict.fromkeys(tile.elements, 1)
     b_terms = dict.fromkeys(complement.elements, 1)
     for s in divisors(modulus)[1:]:
@@ -173,21 +167,6 @@ def least_period(subset: IntegerSet, modulus: int) -> int:
         if frozenset((x + d) % modulus for x in base) == base:
             return d
     raise AssertionError("unreachable: modulus itself is always a period")
-
-
-def cyclotomic_divisors(tile: IntegerSet, bound: int) -> set[int]:
-    """Indices s <= bound whose cyclotomic divides the mask polynomial.
-
-    Indices with euler_phi(s) > diameter are skipped outright: a nonzero
-    polynomial has no divisor of larger degree.
-    """
-    diam = tile.diameter()
-    mask = tile.mask_polynomial()
-    found = set()
-    for s in range(1, bound + 1):
-        if euler_phi(s) <= diam and cyclotomic_divides(s, mask):
-            found.add(s)
-    return found
 
 
 @dataclass(frozen=True)

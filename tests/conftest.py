@@ -31,17 +31,6 @@ def corpus10():
 
 
 @pytest.fixture(scope="session")
-def corpus10_unrestricted():
-    """Unrestricted-mode results for the same family, keyed by elements."""
-    return {
-        tile.elements: minimal_tiling_period(
-            tile, SearchConfig(candidate_mode="unrestricted")
-        )
-        for tile in enumerate_normalized_sets(10)
-    }
-
-
-@pytest.fixture(scope="session")
 def corpus12():
     """(tile, restricted PeriodResult) for every normalized set in {0..12}."""
     return [

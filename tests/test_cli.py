@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -149,6 +150,15 @@ def test_corpus_deterministic_across_jobs():
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_corpus_output_is_pinned():
+    # sha256 of the d <= 10 corpus JSONL; any change to a record changes it
+    code, out, _ = run_cli("corpus", "--max-diameter", "10", "--jobs", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "f0b78a198a3ef5ac0bc3922a4e3d027ade969bdf5bb540a6349d91e6c6475f70"
+    )
 
 
 def test_corpus_respects_safety_limit():

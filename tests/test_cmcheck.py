@@ -1,17 +1,21 @@
+import itertools
 import json
+import math
 from collections import Counter
 
 import pytest
 
+from conftest import enumerate_normalized_sets
 from inttiles.cmcheck import (
+    CmReport,
     check_t1,
     check_t2,
     cm_report,
     fiber_decompose,
     spectrum,
 )
-from inttiles.constructions import diameter_counterexample
-from inttiles.polyring import cyclotomic, cyclotomic_divides, exact_divide
+from inttiles.constructions import diameter_counterexample, standard_tile
+from inttiles.polyring import cyclotomic, cyclotomic_divides, euler_phi, exact_divide, factorize
 from inttiles.tilingset import IntegerSet
 
 
@@ -53,7 +57,7 @@ def test_check_t1_examples():
 def test_check_t2_examples():
     assert check_t2(IntegerSet.of(0, 1, 2, 3))  # single prime: vacuous
     six = IntegerSet.of(0, 1, 2, 3, 4, 5)
-    assert cyclotomic_divides(6, six.mask_polynomial())
+    assert cyclotomic_divides(6, dict(six.mask_polynomial().terms()))
     assert check_t2(six)
 
 
@@ -120,6 +124,59 @@ def test_half_bound_theorem_on_samples():
         rep = cm_report(IntegerSet(elems))
         if rep.spectrum and rep.phi_lcm_divides:
             assert rep.half_bound_holds is True
+
+
+def _reference_report(tile):
+    """CmReport rebuilt from long division on the dense mask polynomial."""
+    diam = tile.diameter()
+    mask = tile.mask_polynomial()
+
+    def divides(s):
+        return euler_phi(s) <= diam and exact_divide(mask, cyclotomic(s)) is not None
+
+    spec = tuple(
+        s for s in range(2, 2 * diam + 1)
+        if factorize(s).num_distinct_primes() == 1 and divides(s)
+    )
+    prime_of = {s: factorize(s).primes[0] for s in spec}
+    t2 = all(
+        divides(math.prod(chosen))
+        for k in range(2, len(spec) + 1)
+        for chosen in itertools.combinations(spec, k)
+        if len({prime_of[s] for s in chosen}) == k
+    )
+    lcm_sa = math.lcm(*spec) if spec else 1
+    phi_lcm_divides = divides(lcm_sa)
+    eq3 = None
+    if len(tile) > 1:
+        p = factorize(len(tile)).primes[0]
+        eq3 = p * diam >= (p - 1) * lcm_sa
+    return CmReport(
+        spectrum=spec,
+        t1=math.prod(prime_of.values()) == len(tile),
+        t2=t2,
+        lcm_sa=lcm_sa,
+        phi_lcm_divides=phi_lcm_divides,
+        diam=diam,
+        half_bound_holds=2 * diam >= lcm_sa if phi_lcm_divides else None,
+        eq3_holds=eq3,
+    )
+
+
+def test_cm_report_matches_dense_reference():
+    tiles = list(enumerate_normalized_sets(12))
+    tiles += [diameter_counterexample(7, 11)[0], diameter_counterexample(5, 7)[0]]
+    tiles += [
+        standard_tile(spec)
+        for spec in ([(2, 2), (3, 1)], [(2, 1), (3, 1), (5, 1)], [(3, 2)], [(2, 3), (3, 1)])
+    ]
+    t2_failures = 0
+    for tile in tiles:
+        expected = _reference_report(tile)
+        assert cm_report(tile) == expected, tile.elements
+        assert (check_t1(tile), check_t2(tile)) == (expected.t1, expected.t2), tile.elements
+        t2_failures += not expected.t2
+    assert t2_failures > 0  # the reference exercises both (T2) verdicts
 
 
 # --- fiber decomposition -------------------------------------------------------

@@ -145,7 +145,7 @@ def test_witnesses_and_period_bound_on_desk_instance(desk_instance):
     tiling = CyclicTiling(inst.tile, inst.complement, inst.modulus)
     witnesses = top_power_witnesses(tiling)
     assert [(p, e) for p, e, _ in witnesses] == [(7, 2), (11, 2), (13, 2)]
-    mask = inst.tile.mask_polynomial()
+    mask = dict(inst.tile.mask_polynomial().terms())
     divs = divisors(inst.modulus)
     for p, e, s in witnesses:
         assert s % p**e == 0 and inst.modulus % s == 0

@@ -233,16 +233,15 @@ def test_primes_up_to():
 
 
 def test_cyclotomic_divides_small_cases():
-    mask = IntPolynomial((1, 1, 1, 1))  # {0,1,2,3}
+    mask = {0: 1, 1: 1, 2: 1, 3: 1}  # {0,1,2,3}
     assert cyclotomic_divides(2, mask)
     assert cyclotomic_divides(4, mask)
     assert not cyclotomic_divides(3, mask)
     assert not cyclotomic_divides(1, mask)  # value at 1 is 4, not 0
 
 
-def test_cyclotomic_divides_accepts_mappings_and_sequences():
+def test_cyclotomic_divides_accepts_mappings():
     assert cyclotomic_divides(4, {0: 1, 2: 1})
-    assert cyclotomic_divides(4, [1, 0, 1])
     assert cyclotomic_divides(4, {6: 1, 0: 1})  # exponents fold mod 4
 
 
@@ -259,7 +258,7 @@ def test_cyclotomic_divides_agrees_with_division():
         if rng.random() < 0.5:
             f = f * cyclotomic(s)
         by_division = f.is_zero() or exact_divide(f, cyclotomic(s)) is not None
-        assert cyclotomic_divides(s, f) == by_division, (s, f.coeffs)
+        assert cyclotomic_divides(s, dict(f.terms())) == by_division, (s, f.coeffs)
 
 
 def test_cyclotomic_divides_large_sparse():
@@ -278,19 +277,19 @@ def test_cyclotomic_divides_composite_indices(s):
     # indices mixing prime powers and several primes, against long division
     phi = cyclotomic(s)
     shifted = phi * IntPolynomial((3, -1, 0, 2, 5))
-    assert cyclotomic_divides(s, phi)
-    assert cyclotomic_divides(s, shifted)
+    assert cyclotomic_divides(s, dict(phi.terms()))
+    assert cyclotomic_divides(s, dict(shifted.terms()))
     near_miss = shifted + IntPolynomial((1,))
-    assert cyclotomic_divides(s, near_miss) == (
+    assert cyclotomic_divides(s, dict(near_miss.terms())) == (
         exact_divide(near_miss, phi) is not None
     )
-    assert not cyclotomic_divides(s, IntPolynomial((1,)))
+    assert not cyclotomic_divides(s, {0: 1})
 
 
 def test_cyclotomic_divides_all_ones_block():
     # 1 + X + ... + X^(N-1) is divisible by every cyclotomic at s | N, s > 1
     n = 360
-    block = [1] * n
+    block = {r: 1 for r in range(n)}
     for s in divisors(n):
         if s > 1:
             assert cyclotomic_divides(s, block)

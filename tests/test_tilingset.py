@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inttiles.constructions import standard_tile
+from inttiles.cmcheck import check_t1, check_t2, cm_report
+from inttiles.constructions import diameter_counterexample, standard_tile
 from inttiles.polyring import cyclotomic_divides, divisors, factorize, mul_mod_cyclic
 from inttiles.tilingset import (
     CyclicTiling,
     IntegerSet,
     _cyclotomic_route,
-    cyclotomic_divisors,
     is_tiling,
     least_period,
 )
@@ -176,7 +176,7 @@ def _dense_cyclotomic_route(tile, complement, modulus):
     )
     coeffs = list(product.coeffs) + [0] * (modulus - len(product.coeffs))
     for s in divisors(modulus)[1:]:
-        if not cyclotomic_divides(s, [sum(coeffs[r::s]) for r in range(s)]):
+        if not cyclotomic_divides(s, {r: sum(coeffs[r::s]) for r in range(s)}):
             return False, s
     return True, None
 
@@ -228,6 +228,7 @@ def test_is_tiling_builds_no_dense_product(monkeypatch):
     modulus = 60 * k
     expected_miss = _dense_cyclotomic_route(tile, near_miss, modulus)
     assert expected_miss[0] is False and expected_miss[1] is not None
+    counterexample, _ = diameter_counterexample(7, 11)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("dense mask polynomial or cyclic product built")
@@ -242,6 +243,11 @@ def test_is_tiling_builds_no_dense_product(monkeypatch):
     verdict = is_tiling(tile, near_miss, modulus)
     assert not verdict.tiles
     assert verdict.failing_divisor == expected_miss[1]
+    # the Coven-Meyerowitz report reads its conditions off the sparse mask too
+    report = cm_report(counterexample)
+    assert report.spectrum == (49, 121)
+    assert report.t1 and not report.t2
+    assert check_t1(counterexample) and not check_t2(counterexample)
 
 
 # --- least_period ------------------------------------------------------------
@@ -271,20 +277,6 @@ def test_least_period_divides_and_characterizes():
         for d in divisors(m):
             shifted = frozenset((x + d) % m for x in base)
             assert (shifted == base) == (d % lp == 0)
-
-
-# --- cyclotomic_divisors -----------------------------------------------------
-
-
-def test_cyclotomic_divisors_examples():
-    assert cyclotomic_divisors(IntegerSet.of(0, 1, 2, 3), 10) == {2, 4}
-    assert cyclotomic_divisors(IntegerSet.of(0), 50) == set()
-    assert cyclotomic_divisors(IntegerSet.of(0, 1, 2, 3, 4, 5), 10) == {2, 3, 6}
-
-
-def test_cyclotomic_divisors_respects_bound():
-    a = IntegerSet.of(0, 1, 2, 3)
-    assert cyclotomic_divisors(a, 3) == {2}
 
 
 # --- CyclicTiling ------------------------------------------------------------
