@@ -29,7 +29,7 @@ from .constructions import (
 from .faults import InternalFaultError
 from .schemas import SCHEMA_VERSION
 from .search import SearchConfig, minimal_tiling_period
-from .tilingset import IntegerSet, is_tiling
+from .tilingset import IntegerSet, is_tiling, json_fields
 
 CORPUS_SAFETY_LIMIT = 14
 JOBS_ENV_VAR = "INTTILES_JOBS"
@@ -157,19 +157,7 @@ def _run_check_tiling(args):
         tile = _parse_set(args.tile)
         complement = _parse_set(args.complement)
         modulus = args.modulus
-    verdict = is_tiling(tile, complement, modulus)
-    payload = {
-        "tiles": verdict.tiles,
-        "direct_route": verdict.direct_route,
-        "cyclotomic_route": verdict.cyclotomic_route,
-    }
-    if verdict.first_undercovered is not None:
-        payload["first_undercovered"] = verdict.first_undercovered
-    if verdict.first_overcovered is not None:
-        payload["first_overcovered"] = verdict.first_overcovered
-    if verdict.failing_divisor is not None:
-        payload["failing_divisor"] = verdict.failing_divisor
-    return payload, 0, None
+    return json_fields(is_tiling(tile, complement, modulus)), 0, None
 
 
 def _run_min_period(args):
@@ -227,6 +215,7 @@ def _run_counterexample(args):
 
 
 def _corpus_sets(max_diameter: int):
+    """Every set {0} | S with S within {1..max_diameter}, in bitmask order."""
     for mask in range(1 << max_diameter):
         yield (0,) + tuple(
             i + 1 for i in range(max_diameter) if mask >> i & 1

@@ -15,9 +15,10 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 from .polyring import cyclotomic_divides, euler_phi, is_prime, primes_up_to, smallest_prime_factor
-from .tilingset import IntegerSet
+from .tilingset import IntegerSet, json_fields
 
 
 def spectrum(tile: IntegerSet) -> tuple[int, ...]:
@@ -70,19 +71,7 @@ class CmReport:
     eq3_holds: bool | None = None
 
     def to_json_dict(self) -> dict:
-        d = {
-            "spectrum": list(self.spectrum),
-            "t1": self.t1,
-            "t2": self.t2,
-            "lcm_sa": self.lcm_sa,
-            "phi_lcm_divides": self.phi_lcm_divides,
-            "diam": self.diam,
-        }
-        if self.half_bound_holds is not None:
-            d["half_bound_holds"] = self.half_bound_holds
-        if self.eq3_holds is not None:
-            d["eq3_holds"] = self.eq3_holds
-        return d
+        return json_fields(self)
 
 
 def cm_report(tile: IntegerSet) -> CmReport:
@@ -138,14 +127,7 @@ class FiberDecomposition:
     unique: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "p": self.p,
-            "q": self.q,
-            "p_fibers": list(self.p_fibers),
-            "q_fibers": list(self.q_fibers),
-            "unique": self.unique,
-        }
+        return json_fields(self)
 
 
 def fiber_decompose(
@@ -168,37 +150,44 @@ def fiber_decompose(
             raise ValueError("q must be a prime dividing the modulus")
     counts = Counter(x % modulus for x in tile.elements)
     kinds = [(p, modulus // p)] if single else [(p, modulus // p), (q, modulus // q)]
-
-    first: list[tuple[int, int]] | None = None
-    solutions = 0
-    chosen: list[tuple[int, int]] = []
     remaining = sorted(counts)
 
-    def branch() -> bool:
-        # Returns True once a second solution is known; unwinds the search.
-        nonlocal first, solutions
-        t = next((r for r in remaining if counts[r] > 0), None)
-        if t is None:
-            solutions += 1
-            if first is None:
-                first = list(chosen)
-            return solutions >= 2
+    def fibers(t: int) -> Iterator[tuple[int, range]]:
+        # Evaluated lazily: the q-fiber is tested against the counts left
+        # after the p-fiber's subtree has been searched and undone.
         for prime, step in kinds:
-            base = t % step
-            coset = range(base, modulus, step)
+            coset = range(t % step, modulus, step)
             if all(counts[r] > 0 for r in coset):
-                for r in coset:
-                    counts[r] -= 1
-                chosen.append((prime, base))
-                done = branch()
-                chosen.pop()
-                for r in coset:
-                    counts[r] += 1
-                if done:
-                    return True
-        return False
+                yield prime, coset
 
-    branch()
+    # Depth-first search over an explicit stack, one frame per placed
+    # fiber, so deep decompositions do not hit the recursion limit.
+    # placed[i] is the fiber frame i currently has subtracted from counts.
+    first: list[tuple[int, int]] | None = None
+    solutions = 0
+    stack = [fibers(remaining[0])]
+    placed: list[tuple[int, range]] = []
+    while stack:
+        if len(placed) == len(stack):
+            for r in placed.pop()[1]:
+                counts[r] += 1
+        fiber = next(stack[-1], None)
+        if fiber is None:
+            stack.pop()
+            continue
+        for r in fiber[1]:
+            counts[r] -= 1
+        placed.append(fiber)
+        t = next((r for r in remaining if counts[r] > 0), None)
+        if t is not None:
+            stack.append(fibers(t))
+            continue
+        solutions += 1
+        if first is None:
+            first = [(prime, coset.start) for prime, coset in placed]
+        if solutions >= 2:
+            break
+
     if first is None:
         return None
     return FiberDecomposition(

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .faults import InvalidShiftError
 from .polyring import factorize, is_prime
-from .tilingset import IntegerSet, is_tiling, least_period
+from .tilingset import IntegerSet, is_tiling, json_fields, least_period
 
 
 @dataclass(frozen=True)
@@ -103,14 +103,8 @@ class Theorem2Instance:
     checks: Theorem2Checks
 
     def to_json_dict(self) -> dict:
-        p = self.params
-        params: dict = {"p1": p.p1, "p2": p.p2, "p3": p.p3, "n": p.n}
-        if p.target_beta is not None:
-            params["target_beta"] = str(p.target_beta)
-        if p.epsilon is not None:
-            params["epsilon"] = str(p.epsilon)
         d = {
-            "params": params,
+            "params": json_fields(self.params),
             "M": self.modulus,
             "a": self.shift_a,
             "b": self.shift_b,
@@ -119,19 +113,10 @@ class Theorem2Instance:
             "B": list(self.complement.elements),
             "diam_A": self.diam,
             "log_ratio": self.log_ratio,
-            "checks": {
-                "tiling_base": self.checks.tiling_base,
-                "tiling_shifted": self.checks.tiling_shifted,
-                "shifted_least_period": self.checks.shifted_least_period,
-                "shifted_period_is_modulus": self.checks.shifted_period_is_modulus,
-                "base_least_period": self.checks.base_least_period,
-                "base_period_proper": self.checks.base_period_proper,
-                "prime_set_match": self.checks.prime_set_match,
-                "diam_within_bound": self.checks.diam_within_bound,
-            },
+            "checks": json_fields(self.checks),
         }
-        if p.alpha is not None:
-            d["alpha"] = str(p.alpha)
+        if self.params.alpha is not None:
+            d["alpha"] = str(self.params.alpha)
         return d
 
 
@@ -230,19 +215,7 @@ class ExponentReport:
     prime_growth_ok: bool | None = None
 
     def to_json_dict(self) -> dict:
-        d: dict = {
-            "diam": self.diam,
-            "diam_upper_bound": self.diam_upper_bound,
-            "diam_within_bound": self.diam_within_bound,
-            "exponent": self.exponent,
-        }
-        if self.alpha is not None:
-            d["alpha"] = str(self.alpha)
-        if self.beta_below_alpha is not None:
-            d["beta_below_alpha"] = self.beta_below_alpha
-        if self.prime_growth_ok is not None:
-            d["prime_growth_ok"] = self.prime_growth_ok
-        return d
+        return json_fields(self)
 
 
 def theorem2_exponent_report(instance: Theorem2Instance) -> ExponentReport:
@@ -271,7 +244,7 @@ def theorem2_exponent_report(instance: Theorem2Instance) -> ExponentReport:
     return ExponentReport(
         diam=instance.diam,
         diam_upper_bound=bound,
-        diam_within_bound=instance.diam <= bound,
+        diam_within_bound=instance.checks.diam_within_bound,
         exponent=math.log(instance.modulus) / math.log(instance.diam),
         alpha=alpha,
         beta_below_alpha=beta_ok,
@@ -291,14 +264,7 @@ class CounterexampleReport:
     eq3_holds: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "modulus": self.modulus,
-            "diam": self.diam,
-            "eq3_threshold": self.eq3_threshold,
-            "eq3_holds": self.eq3_holds,
-        }
+        return json_fields(self)
 
 
 def diameter_counterexample(p: int, q: int) -> tuple[IntegerSet, CounterexampleReport]:

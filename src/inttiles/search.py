@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .faults import WitnessViolationError
 from .polyring import cyclotomic_divides, factorize
-from .tilingset import CyclicTiling, IntegerSet, least_period
+from .tilingset import CyclicTiling, IntegerSet, json_fields, least_period
 
 
 class NodeBudgetExceeded(Exception):
@@ -71,14 +71,7 @@ class PeriodResult:
     explored: tuple[tuple[int, str], ...] = field(default_factory=tuple)
 
     def to_json_dict(self) -> dict:
-        d: dict = {"status": self.status}
-        if self.period is not None:
-            d["period"] = self.period
-        if self.complement is not None:
-            d["complement"] = list(self.complement.elements)
-        d["cap_used"] = self.cap_used
-        d["explored"] = [[m, outcome] for m, outcome in self.explored]
-        return d
+        return json_fields(self)
 
 
 def find_complement(
@@ -106,39 +99,40 @@ def find_complement(
         base |= 1 << x
     masks: dict[int, int] = {0: base}
 
-    def mask_of(b: int) -> int:
-        m = masks.get(b)
-        if m is None:
-            m = ((base << b) | (base >> (modulus - b))) & full
-            masks[b] = m
-        return m
-
+    # Depth-first search on an explicit stack, so the depth M/|A| is not
+    # bound by the recursion limit. The current level's coverage and
+    # untried translates live in locals; the stack holds each parent
+    # level's, and chosen[i] is level i's current translate.
     target = modulus // k
     chosen: list[int] = []
+    stack: list[tuple[int, Iterator[int]]] = []
+    covered = 0
+    untried = iter(sorted(-a % modulus for a in reduced))  # t = 0
     nodes = 0
-
-    def extend(covered: int) -> bool:
-        nonlocal nodes
-        if len(chosen) == target:
-            return True
-        uncovered = ~covered & full
-        t = (uncovered & -uncovered).bit_length() - 1
-        for b in sorted((t - a) % modulus for a in reduced):
+    while True:
+        for b in untried:
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 raise NodeBudgetExceeded(f"exceeded {node_budget} nodes at M={modulus}")
-            m = mask_of(b)
-            if covered & m:
-                continue
-            chosen.append(b)
-            if extend(covered | m):
-                return True
+            m = masks.get(b)
+            if m is None:
+                m = masks[b] = ((base << b) | (base >> (modulus - b))) & full
+            if not covered & m:
+                break
+        else:
+            if not stack:
+                return None
+            covered, untried = stack.pop()
             chosen.pop()
-        return False
-
-    if extend(0):
-        return IntegerSet(sorted(chosen))
-    return None
+            continue
+        chosen.append(b)
+        if len(chosen) == target:
+            return IntegerSet(sorted(chosen))
+        stack.append((covered, untried))
+        covered |= m
+        uncovered = ~covered & full
+        t = (uncovered & -uncovered).bit_length() - 1
+        untried = iter(sorted((t - a) % modulus for a in reduced))
 
 
 def restricted_candidates(size: int, cap: int) -> Iterator[int]:

@@ -14,6 +14,7 @@ fault rather than resolved silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .faults import InconsistentRoutesError
@@ -81,6 +82,30 @@ class IntegerSet:
     def mask_polynomial(self) -> IntPolynomial:
         """The {0,1} polynomial with one term X^a per element a."""
         return IntPolynomial.from_terms({x: 1 for x in self.elements})
+
+
+def json_fields(report) -> dict:
+    """The JSON object of a report dataclass; every report follows this rule.
+
+    Keys are the fields in declaration order, and fields that are None are
+    left out. Tuples become arrays (tuples nested in them too), an
+    IntegerSet becomes the array of its elements and a Fraction its string
+    "p/q"; other values pass through. Types are matched exactly, not by
+    isinstance, to keep this cheap: corpus runs two reports per line.
+    """
+    d = {}
+    for key, value in vars(report).items():
+        if value is None:
+            continue
+        kind = type(value)
+        if kind is tuple:
+            value = [list(v) if type(v) is tuple else v for v in value]
+        elif kind is IntegerSet:
+            value = list(value.elements)
+        elif kind is Fraction:
+            value = str(value)
+        d[key] = value
+    return d
 
 
 @dataclass(frozen=True)
@@ -191,11 +216,7 @@ class CyclicTiling:
             raise ValueError("not a tiling of Z_modulus")
 
     def to_json_dict(self) -> dict:
-        return {
-            "tile": list(self.tile.elements),
-            "complement": list(self.complement.elements),
-            "modulus": self.modulus,
-        }
+        return json_fields(self)
 
     @staticmethod
     def from_json_dict(d: dict) -> "CyclicTiling":

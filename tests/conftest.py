@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import pytest
 
+from inttiles.cli import _corpus_sets
 from inttiles.search import SearchConfig, minimal_tiling_period
 from inttiles.tilingset import IntegerSet
 
 
 def enumerate_normalized_sets(max_diameter: int):
-    """All sets {0} | S, S within {1..max_diameter}, in bitmask order."""
-    for mask in range(1 << max_diameter):
-        yield IntegerSet(
-            (0,) + tuple(i + 1 for i in range(max_diameter) if mask >> i & 1)
-        )
+    """All sets {0} | S, S within {1..max_diameter}, in the CLI corpus order."""
+    return map(IntegerSet, _corpus_sets(max_diameter))
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import io
 import json
 
 import jsonschema
+import pytest
 
 from inttiles import cli
 from inttiles.faults import InconsistentRoutesError
@@ -39,6 +40,15 @@ def test_min_period_does_not_tile_is_success():
     code, env = run_json("min-period", "--set", "0,1,3")
     assert code == 0
     assert env["payload"]["status"] == "does_not_tile"
+
+
+def test_min_period_deep_search():
+    # the complement search places 2048 translates, one level each
+    code, env = run_json("min-period", "--set", "0,2048")
+    assert code == 0
+    assert env["payload"]["status"] == "tiles"
+    assert env["payload"]["period"] == 4096
+    assert env["payload"]["complement"] == list(range(2048))
 
 
 def test_min_period_normalization_echo():
@@ -125,6 +135,81 @@ def test_json_payload_roundtrip():
     _, out, _ = run_cli("analyze", "--set", "0,1,2,3")
     envelope = json.loads(out)
     assert json.loads(json.dumps(envelope)) == envelope
+
+
+# One run per report kind; each sha256 covers the whole output except the
+# timing, so a change in key order, an omitted field or a value format shows.
+GOLDEN_RUNS = [
+    pytest.param(
+        ("analyze", "--set", "2,3,5,6"),
+        "896051e186120bb80fd021a261ff8f4cbde187e011ea258fcef443ebcbba3f74",
+        id="analyze",
+    ),
+    pytest.param(
+        ("check-tiling", "--tile", "0,1", "--complement", "0,2", "--modulus", "4"),
+        "dd2ffc53772d1f88b6a22d14b4a0cd34fdb3f3bb8716a07054324a4a1b8939ba",
+        id="check-tiling-tiles",
+    ),
+    pytest.param(  # reports first_undercovered, first_overcovered, failing_divisor
+        ("check-tiling", "--tile", "0,1", "--complement", "0,1", "--modulus", "4"),
+        "245aab2517c0b1091ae347e25143ca4c1ed328a2240b73fb7f6ee95e8a39203d",
+        id="check-tiling-fails",
+    ),
+    pytest.param(
+        ("min-period", "--set", "5,7"),
+        "9b035a883bb6b982fb1125852bfe17419f540fd2ff1e2054169f52119a6a29aa",
+        id="min-period-tiles",
+    ),
+    pytest.param(
+        ("min-period", "--set", "0,1,3"),
+        "a60fd508b56ace5893e0284d0c002fd5d4eb447a5770a56e2058dfd90eac2ac9",
+        id="min-period-does-not-tile",
+    ),
+    pytest.param(
+        ("min-period", "--set", "0,1,4,5", "--node-budget", "1"),
+        "63f1e6a19b2ba789315506722d18dd9eb1a3a95587af68080f22d7d5efaf9f22",
+        id="min-period-inconclusive",
+    ),
+    pytest.param(
+        ("construct", "box", "--powers", "2^2,3^1"),
+        "b1e6670568b07c042d3f3a768fb8d407318ab1da8d83bac520d7fef06f3fa492",
+        id="construct-box",
+    ),
+    pytest.param(
+        ("construct", "theorem2", "--p", "7,11,13", "--n", "2",
+         "--beta", "11/10", "--epsilon", "1/10"),
+        "4b38929fa6eaca57bbc252d10a5e3f54cccf8ecd090c170776b174751decc980",
+        id="construct-theorem2",
+    ),
+    pytest.param(
+        ("counterexample", "--p", "7", "--q", "11"),
+        "f3b85e633f5572388cd1f550625ae9b3eb68e7703fdb98738a56c12c9e337f08",
+        id="counterexample",
+    ),
+    pytest.param(
+        ("min-period", "--set", "0,1,4,5", "--format", "text"),
+        "4664671e8a3d0d7dc8303d9f310f45f6474b27e783ec6af5ed77113f479e158f",
+        id="min-period-text",
+    ),
+]
+
+
+def _pinned_bytes(out: str) -> bytes:
+    """The output without its timing_ms, the only part that varies per run."""
+    if out.startswith("{"):
+        head, sep, tail = out.rpartition(',"timing_ms":')
+        assert sep and tail.endswith("}\n"), out[-80:]
+        return (head + "}\n").encode("utf-8")
+    *lines, last = out.splitlines(keepends=True)
+    assert last.startswith("timing_ms: "), last
+    return "".join(lines).encode("utf-8")
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_RUNS)
+def test_output_is_pinned(argv, digest):
+    code, out, err = run_cli(*argv)
+    assert code in (0, 3), err
+    assert hashlib.sha256(_pinned_bytes(out)).hexdigest() == digest
 
 
 # --- corpus ----------------------------------------------------------------------
@@ -257,10 +342,13 @@ def test_internal_fault_exit_code(monkeypatch):
     assert out == ""
 
 
-def test_unexpected_exception_is_one_line_exit_4():
-    # find_complement still recurses once per placed translate, so this set
-    # hits the recursion limit; the CLI must report it, not a traceback.
-    code, out, err = run_cli("min-period", "--set", "0,2048")
+def test_unexpected_exception_is_one_line_exit_4(monkeypatch):
+    # an exception no handler expects is reported in one line, not a traceback
+    def explode(args):
+        raise RecursionError("maximum recursion depth exceeded\nin comparison")
+
+    monkeypatch.setitem(cli._HANDLERS, "min-period", explode)
+    code, out, err = run_cli("min-period", "--set", "0,2")
     assert code == 4
     assert out == ""
     assert err.startswith("internal error: ")

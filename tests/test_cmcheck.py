@@ -216,6 +216,14 @@ def test_fiber_decompose_full_interval():
     assert d.q_fibers == ()
 
 
+def test_fiber_decompose_deeper_than_recursion_limit():
+    # Z_3000 as 1500 2-fibers: one search level per fiber
+    d = fiber_decompose(IntegerSet(range(3000)), 3000, 2)
+    assert d is not None
+    assert d.p_fibers == tuple(range(1500))
+    assert d.unique
+
+
 def test_fiber_decompose_none():
     assert fiber_decompose(IntegerSet.of(0, 1, 3), 6, 2, 3) is None
 
@@ -229,6 +237,9 @@ def test_fiber_decompose_multiset_reduction():
     assert _fiber_multiset(d) == Counter(x % 6 for x in a.elements)
     assert d.p_fibers == (0,)
     assert d.q_fibers == (0,)
+    assert d.to_json_dict() == {
+        "modulus": 6, "p": 2, "q": 3, "p_fibers": [0], "q_fibers": [0], "unique": False
+    }
 
 
 def test_fiber_decompose_validates_primes():

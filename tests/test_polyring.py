@@ -227,6 +227,8 @@ def test_divisors_sorted():
 def test_primes_up_to():
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert primes_up_to(1) == []
+    # the sieve and trial division agree
+    assert [n for n in range(-3, 500) if is_prime(n)] == primes_up_to(499)
 
 
 # --- cyclotomic_divides -------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import enumerate_normalized_sets
 from inttiles.polyring import cyclotomic_divides
 from inttiles.search import (
     NodeBudgetExceeded,
@@ -41,6 +42,59 @@ def test_find_complement_quick_rejections():
 def test_find_complement_budget():
     with pytest.raises(NodeBudgetExceeded):
         find_complement(IntegerSet.of(0, 1, 4, 5), 8, node_budget=1)
+
+
+def test_find_complement_deeper_than_recursion_limit():
+    # one search level per placed translate: 4096 / 2 = 2048 levels, each
+    # placing its first candidate, so the search visits exactly 2048 nodes
+    tile = IntegerSet.of(0, 2048)
+    assert find_complement(tile, 4096).elements == tuple(range(2048))
+    assert find_complement(tile, 4096, node_budget=2048).elements == tuple(range(2048))
+    with pytest.raises(NodeBudgetExceeded):
+        find_complement(tile, 4096, node_budget=2047)
+
+
+def _recursive_find_complement(elems, m):
+    """The earlier recursive search, as a reference: (complement, nodes)."""
+    reduced = sorted({x % m for x in elems})
+    full = (1 << m) - 1
+    base = sum(1 << x for x in reduced)
+    target = m // len(elems)
+    chosen, nodes = [], 0
+
+    def extend(covered):
+        nonlocal nodes
+        if len(chosen) == target:
+            return True
+        uncovered = ~covered & full
+        t = (uncovered & -uncovered).bit_length() - 1
+        for b in sorted((t - a) % m for a in reduced):
+            nodes += 1
+            mask = ((base << b) | (base >> (m - b))) & full
+            if not covered & mask:
+                chosen.append(b)
+                if extend(covered | mask):
+                    return True
+                chosen.pop()
+        return False
+
+    found = extend(0)
+    return (tuple(sorted(chosen)) if found else None), nodes
+
+
+def test_find_complement_matches_recursive_search():
+    # same complement and same node count (the budget at which the search
+    # first completes) on every candidate modulus of every set within {0..8}
+    for tile in enumerate_normalized_sets(8):
+        for m in restricted_candidates(len(tile), default_cap(tile)):
+            if len({x % m for x in tile.elements}) != len(tile):
+                continue
+            expected, nodes = _recursive_find_complement(tile.elements, m)
+            found = find_complement(tile, m, node_budget=nodes)
+            assert (found.elements if found else None) == expected
+            if nodes > 1:
+                with pytest.raises(NodeBudgetExceeded):
+                    find_complement(tile, m, node_budget=nodes - 1)
 
 
 def _oracle_has_complement(elems, m):
