@@ -28,11 +28,12 @@ from .constructions import (
 )
 from .faults import InternalFaultError
 from .schemas import SCHEMA_VERSION
-from .search import SearchConfig, minimal_tiling_period
+from .search import SearchConfig, minimal_tiling_period, worker_count
 from .tilingset import IntegerSet, is_tiling, json_fields
 
 CORPUS_SAFETY_LIMIT = 14
 JOBS_ENV_VAR = "INTTILES_JOBS"
+JOBS_HELP = "worker processes (0 = one per CPU, never more than the CPU count)"
 
 
 def _default_jobs() -> int:
@@ -105,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.add_argument("--mode", choices=("restricted", "unrestricted"), default="restricted")
     p.add_argument("--cap", type=int, help="override the candidate-modulus cap")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (0 = auto)")
+    p.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     p.add_argument("--node-budget", type=int, help="abort search beyond this many nodes")
 
     p = sub.add_parser("construct", help="generate explicit tilings")
@@ -127,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="enumerate sets up to a diameter, one JSON line each")
     p.add_argument("--max-diameter", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (0 = auto)")
+    p.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     p.add_argument(
         "--force",
         action="store_true",
@@ -242,9 +243,7 @@ def _run_corpus(args, out) -> int:
             f"--max-diameter {args.max_diameter} exceeds the safety limit "
             f"{CORPUS_SAFETY_LIMIT}; pass --force to override"
         )
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
+    jobs = worker_count(args.jobs if args.jobs is not None else _default_jobs())
     sets = _corpus_sets(args.max_diameter)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -163,24 +163,28 @@ def fiber_decompose(
     # Depth-first search over an explicit stack, one frame per placed
     # fiber, so deep decompositions do not hit the recursion limit.
     # placed[i] is the fiber frame i currently has subtracted from counts.
+    # A frame also keeps its residue's index in remaining. Counts below it
+    # are 0 and deeper frames only lower counts, so the next level's scan
+    # starts there and the scans along one search path are linear.
     first: list[tuple[int, int]] | None = None
     solutions = 0
-    stack = [fibers(remaining[0])]
+    stack = [(0, fibers(remaining[0]))]
     placed: list[tuple[int, range]] = []
     while stack:
         if len(placed) == len(stack):
             for r in placed.pop()[1]:
                 counts[r] += 1
-        fiber = next(stack[-1], None)
+        start, branches = stack[-1]
+        fiber = next(branches, None)
         if fiber is None:
             stack.pop()
             continue
         for r in fiber[1]:
             counts[r] -= 1
         placed.append(fiber)
-        t = next((r for r in remaining if counts[r] > 0), None)
-        if t is not None:
-            stack.append(fibers(t))
+        i = next((j for j in range(start, len(remaining)) if counts[remaining[j]] > 0), None)
+        if i is not None:
+            stack.append((i, fibers(remaining[i])))
             continue
         solutions += 1
         if first is None:

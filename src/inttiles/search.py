@@ -33,9 +33,12 @@ class SearchConfig:
     candidate_mode "restricted" enumerates only moduli whose prime set
     equals the prime set of |A| (sound: a tile always admits such a
     tiling); "unrestricted" enumerates every multiple of |A| up to the cap
-    and exists as an oracle for the restricted mode. parallelism 0 means
-    one worker per CPU. A max_modulus_override below the default cap
-    downgrades a negative answer to inconclusive.
+    and exists as an oracle for the restricted mode. Either way candidates
+    are generated lazily as the search probes them, so a large cap costs
+    nothing until it is reached. parallelism is read by worker_count: 0
+    means one worker per CPU, and no search gets more workers than CPUs.
+    A max_modulus_override below the default cap downgrades a negative
+    answer to inconclusive.
     """
 
     candidate_mode: str = "restricted"
@@ -142,10 +145,6 @@ def restricted_candidates(size: int, cap: int) -> Iterator[int]:
     candidates come out sorted without materializing a range.
     """
     primes = factorize(size).primes
-    if not primes:
-        if cap >= 1:
-            yield 1
-        return
     heap = [1]
     seen = {1}
     while heap:
@@ -172,18 +171,28 @@ def default_cap(tile: IntegerSet) -> int:
     return (2 * tile.diameter()) ** d
 
 
-def _probe(args: tuple[tuple[int, ...], int, int | None]) -> tuple[str, tuple[int, ...] | None]:
+def worker_count(jobs: int) -> int:
+    """Processes for a request of jobs: 0 means one per CPU, never more than the CPUs."""
+    if jobs < 0:
+        raise ValueError(f"worker count must be nonnegative, got {jobs}")
+    if jobs == 1:
+        return 1  # os.cpu_count() costs ~10% of a small serial search
+    cpus = os.cpu_count() or 1
+    return min(jobs, cpus) if jobs else cpus
+
+
+def _probe(args: tuple[tuple[int, ...], int, int | None]) -> tuple[int, str, tuple | None]:
     elements, modulus, node_budget = args
     tile = IntegerSet(elements)
     if len({x % modulus for x in elements}) != len(elements):
-        return "not_injective", None
+        return modulus, "not_injective", None
     try:
         found = find_complement(tile, modulus, node_budget)
     except NodeBudgetExceeded:
-        return "budget_exhausted", None
+        return modulus, "budget_exhausted", None
     if found is None:
-        return "refuted", None
-    return "tiles", found.elements
+        return modulus, "refuted", None
+    return modulus, "tiles", found.elements
 
 
 def minimal_tiling_period(
@@ -205,20 +214,15 @@ def minimal_tiling_period(
         proof_complete = config.max_modulus_override >= cap
         cap = config.max_modulus_override
     if config.candidate_mode == "restricted":
-        candidates = list(restricted_candidates(len(tile), cap))
+        candidates = restricted_candidates(len(tile), cap)
     else:
-        candidates = list(unrestricted_candidates(len(tile), cap))
+        candidates = unrestricted_candidates(len(tile), cap)
+    probes = ((tile.elements, m, config.node_budget) for m in candidates)
+    jobs = worker_count(config.parallelism)
+    outcomes = _probe_parallel(probes, jobs) if jobs > 1 else map(_probe, probes)
 
     explored: list[tuple[int, str]] = []
-    jobs = config.parallelism if config.parallelism > 0 else (os.cpu_count() or 1)
-    if jobs > 1 and len(candidates) > 1:
-        outcomes = _probe_parallel(tile, candidates, config.node_budget, jobs)
-    else:
-        outcomes = map(
-            _probe, ((tile.elements, m, config.node_budget) for m in candidates)
-        )
-
-    for modulus, (outcome, complement) in zip(candidates, outcomes):
+    for modulus, outcome, complement in outcomes:
         explored.append((modulus, outcome))
         if outcome == "tiles":
             assert complement is not None
@@ -231,29 +235,23 @@ def minimal_tiling_period(
     return PeriodResult(status, None, None, cap, tuple(explored))
 
 
-def _probe_parallel(tile, candidates, node_budget, jobs):
-    """Probe candidates with a process pool, yielding results in candidate order.
+def _probe_parallel(probes, jobs):
+    """Run probes on a process pool, yielding results in probe order.
 
-    Workers run ahead inside a bounded window, but results are consumed
+    At most 2 * jobs probes are drawn ahead, and results are consumed
     strictly in submission order, so the stream the caller sees is the one
     a serial scan would produce.
     """
     window = 2 * jobs
     pending: deque = deque()
-    it = iter(candidates)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         try:
-            while len(pending) < window:
-                m = next(it, None)
-                if m is None:
-                    break
-                pending.append(pool.submit(_probe, (tile.elements, m, node_budget)))
+            for args in probes:
+                pending.append(pool.submit(_probe, args))
+                if len(pending) == window:
+                    yield pending.popleft().result()
             while pending:
-                result = pending.popleft().result()
-                m = next(it, None)
-                if m is not None:
-                    pending.append(pool.submit(_probe, (tile.elements, m, node_budget)))
-                yield result
+                yield pending.popleft().result()
         finally:
             for fut in pending:
                 fut.cancel()
@@ -297,8 +295,6 @@ def period_bound_check(tiling: CyclicTiling) -> bool:
     modulus = tiling.modulus
     if least_period(tiling.complement, modulus) != modulus:
         raise ValueError("modulus is not the least period of the complement")
-    fac = factorize(modulus)
-    if fac.primes != factorize(len(tiling.tile)).primes:
+    if factorize(modulus).primes != factorize(len(tiling.tile)).primes:
         raise ValueError("prime set of modulus differs from prime set of |tile|")
-    d = fac.num_distinct_primes()
-    return modulus <= (2 * tiling.tile.diameter()) ** d
+    return modulus <= default_cap(tiling.tile)

@@ -355,6 +355,17 @@ def test_unexpected_exception_is_one_line_exit_4(monkeypatch):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "argv", [("corpus", "--max-diameter", "3"), ("min-period", "--set", "0,1")]
+)
+def test_negative_jobs_is_usage_error(argv):
+    code, out, err = run_cli(*argv, "--jobs", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_jobs_env_var_validation(monkeypatch):
     monkeypatch.setenv(cli.JOBS_ENV_VAR, "many")
     code, _, err = run_cli("min-period", "--set", "0,1")

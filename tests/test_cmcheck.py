@@ -224,8 +224,20 @@ def test_fiber_decompose_deeper_than_recursion_limit():
     assert d.unique
 
 
+def test_fiber_decompose_long_scan():
+    # Z_12000 as 6000 2-fibers: each level finds its residue by a scan
+    # that starts at the parent level's residue
+    d = fiber_decompose(IntegerSet(range(12000)), 12000, 2)
+    assert d is not None
+    assert d.p_fibers == tuple(range(6000))
+    assert d.q_fibers == ()
+    assert d.unique
+
+
 def test_fiber_decompose_none():
     assert fiber_decompose(IntegerSet.of(0, 1, 3), 6, 2, 3) is None
+    # residue 0 twice, 3 once: one 2-fiber {0,3} leaves a 0 nothing covers
+    assert fiber_decompose(IntegerSet.of(0, 3, 6), 6, 2) is None
 
 
 def test_fiber_decompose_multiset_reduction():

@@ -1,8 +1,10 @@
 import itertools
+import os
 
 import pytest
 
 from conftest import enumerate_normalized_sets
+from inttiles import search
 from inttiles.polyring import cyclotomic_divides
 from inttiles.search import (
     NodeBudgetExceeded,
@@ -14,6 +16,7 @@ from inttiles.search import (
     period_bound_check,
     top_power_witnesses,
     unrestricted_candidates,
+    worker_count,
 )
 from inttiles.tilingset import CyclicTiling, IntegerSet, is_tiling, least_period
 
@@ -144,6 +147,7 @@ def test_restricted_candidates():
     assert list(restricted_candidates(4, 20)) == [4, 8, 16]
     assert list(restricted_candidates(6, 100)) == [6, 12, 18, 24, 36, 48, 54, 72, 96]
     assert list(restricted_candidates(1, 5)) == [1]
+    assert list(restricted_candidates(1, 0)) == []
     assert list(restricted_candidates(3, 6)) == [3]  # 6 brings in the prime 2
 
 
@@ -251,6 +255,59 @@ def test_parallel_negative_and_budget_outcomes():
 def test_parallelism_zero_means_auto():
     result = minimal_tiling_period(IntegerSet.of(0, 1, 4, 5), SearchConfig(parallelism=0))
     assert (result.status, result.period) == ("tiles", 8)
+
+
+def test_worker_count(monkeypatch):
+    cpus = os.cpu_count() or 1
+    assert worker_count(0) == cpus
+    assert worker_count(1) == 1
+    assert worker_count(10**6) == cpus
+    with pytest.raises(ValueError):
+        worker_count(-1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert [worker_count(j) for j in (0, 1, 3, 4, 5)] == [4, 1, 3, 4, 4]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(0) == 1
+
+
+def _count_draws(monkeypatch, limit):
+    """Make both candidate generators count what is drawn and fail past limit."""
+    drawn = [0]
+
+    def counting(real):
+        def candidates(size, cap):
+            for m in real(size, cap):
+                drawn[0] += 1
+                if drawn[0] > limit:
+                    raise AssertionError(f"drew more than {limit} candidates")
+                yield m
+
+        return candidates
+
+    for name in ("restricted_candidates", "unrestricted_candidates"):
+        monkeypatch.setattr(search, name, counting(getattr(search, name)))
+    return drawn
+
+
+@pytest.mark.parametrize("mode", ["restricted", "unrestricted"])
+def test_period_search_draws_candidates_lazily(monkeypatch, mode):
+    # {0,1} tiles at the first candidate, 2; the cap must not be enumerated
+    drawn = _count_draws(monkeypatch, limit=3)
+    config = SearchConfig(candidate_mode=mode, max_modulus_override=10**12)
+    result = minimal_tiling_period(IntegerSet.of(0, 1), config)
+    assert (result.status, result.period) == ("tiles", 2)
+    assert drawn == [1]
+
+
+def test_parallel_period_search_draws_within_window(monkeypatch):
+    limit = 2 * worker_count(2) + 1
+    drawn = _count_draws(monkeypatch, limit)
+    config = SearchConfig(
+        candidate_mode="unrestricted", max_modulus_override=10**12, parallelism=2
+    )
+    result = minimal_tiling_period(IntegerSet.of(0, 1), config)
+    assert (result.status, result.period) == ("tiles", 2)
+    assert 1 <= drawn[0] <= limit
 
 
 def test_search_config_validation():
