@@ -32,6 +32,9 @@ from .search import SearchConfig, minimal_tiling_period, worker_count
 from .tilingset import IntegerSet, is_tiling, json_fields
 
 CORPUS_SAFETY_LIMIT = 14
+# check-tiling's bitmask route peaks near 1.2 bytes per residue (tracemalloc
+# at M = 1,002,001), so this limit keeps one run within a few hundred MB
+MODULUS_SAFETY_LIMIT = 10**8
 JOBS_ENV_VAR = "INTTILES_JOBS"
 JOBS_HELP = "worker processes (0 = one per CPU, never more than the CPU count)"
 
@@ -99,6 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complement", help="inline complement set")
     p.add_argument("--modulus", type=int, help="modulus M")
     p.add_argument("--input", help='path to JSON {"tile": [...], "complement": [...], "modulus": M}')
+    p.add_argument(
+        "--force",
+        action="store_true",
+        help=f"allow a modulus beyond the safety limit of {MODULUS_SAFETY_LIMIT}",
+    )
     add_format(p)
 
     p = sub.add_parser("min-period", help="minimal tiling period by exhaustive search")
@@ -158,6 +166,11 @@ def _run_check_tiling(args):
         tile = _parse_set(args.tile)
         complement = _parse_set(args.complement)
         modulus = args.modulus
+    if modulus > MODULUS_SAFETY_LIMIT and not args.force:
+        raise ValueError(
+            f"modulus {modulus} exceeds the safety limit "
+            f"{MODULUS_SAFETY_LIMIT}; pass --force to override"
+        )
     return json_fields(is_tiling(tile, complement, modulus)), 0, None
 
 

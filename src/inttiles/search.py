@@ -49,8 +49,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.candidate_mode not in ("restricted", "unrestricted"):
             raise ValueError(f"unknown candidate mode {self.candidate_mode!r}")
-        if self.parallelism < 0:
-            raise ValueError("parallelism must be nonnegative")
+        worker_count(self.parallelism)  # raises on a negative count
         if self.max_modulus_override is not None and self.max_modulus_override < 1:
             raise ValueError("max_modulus_override must be positive")
         if self.node_budget is not None and self.node_budget < 1:

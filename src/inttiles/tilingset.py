@@ -1,14 +1,22 @@
 """Finite integer sets, mask polynomials, and tiling verification.
 
-A tiling of Z_M is checked by two independent routes: the direct one counts
-how often each residue is covered, and the cyclotomic one applies the
-Coven-Meyerowitz criterion: A + B = Z_M iff |A||B| = M and, for every
-divisor s > 1 of M, the cyclotomic polynomial Phi_s divides A(X) or B(X).
-Each Phi_s is irreducible, so it divides the product A(X)B(X) exactly when
-it divides one of the factors; the route therefore tests the two sparse
-mask polynomials separately and never forms their length-M product. The
-two routes are provably equivalent, so a disagreement is escalated as a
-fault rather than resolved silently.
+A tiling of Z_M is checked by two independent routes. The direct one finds
+the residues covered zero times and more than once on bitmasks: it builds
+the larger set's residue mask, and the mask of residues that set hits
+twice, once; ORs in that mask shifted by each element of the smaller set,
+collecting the bits already covered as overlaps; and folds the [0, 2M)
+window once at the end (bit r + M is residue r, so a residue set in both
+halves is covered twice). It holds a few M-bit integers, never a length-M
+list.
+
+The cyclotomic route applies the Coven-Meyerowitz criterion: A + B = Z_M
+iff |A||B| = M and, for every divisor s > 1 of M, the cyclotomic
+polynomial Phi_s divides A(X) or B(X). Each Phi_s is irreducible, so it
+divides the product A(X)B(X) exactly when it divides one of the factors;
+the route therefore tests the two sparse mask polynomials separately and
+never forms their length-M product. The two routes are provably
+equivalent, so a disagreement is escalated as a fault rather than resolved
+silently.
 """
 
 from __future__ import annotations
@@ -113,10 +121,11 @@ class TilingVerdict:
     """Outcome of both tiling checks plus diagnostics.
 
     first_undercovered / first_overcovered are the smallest residues hit
-    zero or more than one time by the direct count (None when covered
-    exactly once everywhere); failing_divisor is the smallest divisor s > 1
-    of M such that Phi_s divides neither the tile's nor the complement's
-    mask polynomial, i.e. does not divide their product.
+    zero or more than one time by the direct route (None when covered
+    exactly once everywhere), read as the lowest set bits of its folded
+    uncovered and overlap masks; failing_divisor is the smallest divisor
+    s > 1 of M such that Phi_s divides neither the tile's nor the
+    complement's mask polynomial, i.e. does not divide their product.
     """
 
     tiles: bool
@@ -133,7 +142,7 @@ class TilingVerdict:
 def is_tiling(tile: IntegerSet, complement: IntegerSet, modulus: int) -> TilingVerdict:
     """Check tile + complement = Z_modulus, every residue exactly once.
 
-    Runs both the direct coverage count and the cyclotomic divisibility
+    Runs both the direct coverage route and the cyclotomic divisibility
     route and raises InconsistentRoutesError if they disagree (they are
     equivalent, so disagreement means a bug, never valid input behavior).
     Elements are folded mod modulus; translation does not change the result.
@@ -157,18 +166,41 @@ def is_tiling(tile: IntegerSet, complement: IntegerSet, modulus: int) -> TilingV
     )
 
 
+def _residue_masks(elements, modulus):
+    """Bitmasks of the residues of elements mod modulus: hit at least once,
+    and hit more than once."""
+    once = bytearray((modulus + 7) >> 3)
+    twice = bytearray(len(once))
+    for x in elements:
+        r = x % modulus
+        i, bit = r >> 3, 1 << (r & 7)
+        if once[i] & bit:
+            twice[i] |= bit
+        once[i] |= bit
+    return int.from_bytes(once, "little"), int.from_bytes(twice, "little")
+
+
+def _lowest_bit(mask):
+    return (mask & -mask).bit_length() - 1 if mask else None
+
+
 def _direct_route(tile, complement, modulus):
-    counts = [0] * modulus
-    bmod = [b % modulus for b in complement.elements]
-    for a in tile.elements:
-        am = a % modulus
-        for bm in bmod:
-            r = am + bm
-            if r >= modulus:
-                r -= modulus
-            counts[r] += 1
-    under = next((r for r, c in enumerate(counts) if c == 0), None)
-    over = next((r for r, c in enumerate(counts) if c > 1), None)
+    # shifts are not rotated: folding [0, 2M) once at the end measured
+    # faster than masking each shift back into [0, M)
+    small, large = sorted((tile.elements, complement.elements), key=len)
+    base, base_twice = _residue_masks(large, modulus)
+    covered = over = 0
+    for a in small:
+        shift = a % modulus
+        m = base << shift
+        over |= covered & m
+        covered |= m
+        if base_twice:
+            over |= base_twice << shift
+    full = (1 << modulus) - 1
+    low, high = covered & full, covered >> modulus
+    under = _lowest_bit(~(low | high) & full)
+    over = _lowest_bit((over & full) | (over >> modulus) | (low & high))
     return under is None and over is None, under, over
 
 

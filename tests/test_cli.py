@@ -93,6 +93,23 @@ def test_check_tiling_record_file(tmp_path):
     assert env["payload"]["tiles"] is True
 
 
+def test_check_tiling_modulus_guard(tmp_path, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("is_tiling reached past the modulus guard")
+
+    monkeypatch.setattr(cli, "is_tiling", forbidden)
+    huge = cli.MODULUS_SAFETY_LIMIT + 1
+    path = tmp_path / "tiling.json"
+    path.write_text(json.dumps({"tile": [0], "complement": [0], "modulus": huge}))
+    inline = ("--tile", "0", "--complement", "0", "--modulus", "1000000000000")
+    for source in (inline, ("--input", str(path))):
+        code, out, err = run_cli("check-tiling", *source)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--force" in err
+
+
 def test_construct_box():
     code, env = run_json("construct", "box", "--powers", "2^1,3^1")
     assert env["payload"] == {"set": [0, 2, 3, 4, 5, 7], "modulus": 6}
@@ -149,6 +166,12 @@ GOLDEN_RUNS = [
         ("check-tiling", "--tile", "0,1", "--complement", "0,2", "--modulus", "4"),
         "dd2ffc53772d1f88b6a22d14b4a0cd34fdb3f3bb8716a07054324a4a1b8939ba",
         id="check-tiling-tiles",
+    ),
+    pytest.param(  # --force below the modulus limit changes nothing
+        ("check-tiling", "--tile", "0,1", "--complement", "0,2", "--modulus", "4",
+         "--force"),
+        "dd2ffc53772d1f88b6a22d14b4a0cd34fdb3f3bb8716a07054324a4a1b8939ba",
+        id="check-tiling-forced",
     ),
     pytest.param(  # reports first_undercovered, first_overcovered, failing_divisor
         ("check-tiling", "--tile", "0,1", "--complement", "0,1", "--modulus", "4"),
@@ -362,8 +385,7 @@ def test_negative_jobs_is_usage_error(argv):
     code, out, err = run_cli(*argv, "--jobs", "-1")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
-    assert err.count("\n") == 1
+    assert err == "error: worker count must be nonnegative, got -1\n"
 
 
 def test_jobs_env_var_validation(monkeypatch):

@@ -1,18 +1,25 @@
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inttiles.cmcheck import check_t1, check_t2, cm_report
-from inttiles.constructions import diameter_counterexample, standard_tile
+from inttiles.constructions import (
+    Theorem2Params,
+    diameter_counterexample,
+    standard_tile,
+    theorem2_generate,
+)
 from inttiles.polyring import cyclotomic_divides, divisors, factorize, mul_mod_cyclic
 from inttiles.tilingset import (
     CyclicTiling,
     IntegerSet,
     _cyclotomic_route,
+    _direct_route,
     is_tiling,
     least_period,
 )
@@ -248,6 +255,64 @@ def test_is_tiling_builds_no_dense_product(monkeypatch):
     assert report.spectrum == (49, 121)
     assert report.t1 and not report.t2
     assert check_t1(counterexample) and not check_t2(counterexample)
+
+
+# --- direct route: residue bitmasks vs the counting list --------------------
+
+
+def _counting_direct_route(tile, complement, modulus):
+    """Reference: count every residue a + b mod M into a length-M list."""
+    counts = [0] * modulus
+    bmod = [b % modulus for b in complement.elements]
+    for a in tile.elements:
+        am = a % modulus
+        for bm in bmod:
+            r = am + bm
+            if r >= modulus:
+                r -= modulus
+            counts[r] += 1
+    under = next((r for r, c in enumerate(counts) if c == 0), None)
+    over = next((r for r, c in enumerate(counts) if c > 1), None)
+    return under is None and over is None, under, over
+
+
+@st.composite
+def residue_collision_pairs(draw):
+    """Two sets of any sizes whose residues mod M may repeat within a set."""
+    m = draw(st.integers(1, 48))
+
+    def lifted(size):
+        residues = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=size))
+        return IntegerSet.from_iterable(r + k * m for k, r in enumerate(residues))
+
+    return lifted(12), lifted(12), m
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(route_instances(), residue_collision_pairs()))
+@example((IntegerSet.of(0), IntegerSet.of(0), 1))  # M = 1, a tiling
+@example((IntegerSet.of(0, 1), IntegerSet.of(5), 1))  # M = 1, covered twice
+@example((IntegerSet.of(0), IntegerSet.of(0, 2), 2))  # collision in the larger set
+@example((IntegerSet.of(0, 4), IntegerSet.of(0, 1, 2), 4))  # in the smaller set
+@example((IntegerSet.of(0, 1), IntegerSet.of(0, 1), 2))  # residue 0 at 0 and 2
+@example((IntegerSet.of(0, 1, 4, 5), IntegerSet.of(0, 2), 8))  # |A| > |B|, tiles
+def test_direct_route_matches_counting(instance):
+    a, b, m = instance
+    assert _direct_route(a, b, m) == _counting_direct_route(a, b, m)
+    assert _direct_route(b, a, m) == _counting_direct_route(b, a, m)
+
+
+def test_is_tiling_memory_below_two_bytes_per_residue():
+    instance = theorem2_generate(Theorem2Params(7, 11, 13, 2))
+    modulus = instance.modulus
+    tracemalloc.start()
+    try:
+        verdict = is_tiling(instance.tile, instance.complement, modulus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.tiles
+    assert peak < 2 * modulus  # a counting list of M ints takes 8 bytes each
 
 
 # --- least_period ------------------------------------------------------------
