@@ -9,10 +9,13 @@ of the three directions yields a complement B whose least period is M
 itself, while diam(A) stays near M^(2/3); this realizes tiling periods
 around diam^beta for any beta < 3/2. Every generated instance is verified
 numerically: both tilings, the least periods, and the diameter bound.
+
+Every set built here is a sum of arithmetic progressions, formed by `_sums`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -21,6 +24,10 @@ from fractions import Fraction
 from .faults import InvalidShiftError
 from .polyring import factorize, is_prime
 from .tilingset import IntegerSet, is_tiling, json_fields, least_period
+
+# epsilon < 3 keeps alpha positive; with epsilon = a/b and b at most this, the
+# exact comparison in theorem2_exponent_report takes powers below 6*b*n.
+EPSILON_DENOMINATOR_LIMIT = 10**4
 
 
 @dataclass(frozen=True)
@@ -39,17 +46,22 @@ class Theorem2Params:
     epsilon: Fraction | None = None
 
     def __post_init__(self):
+        # n first: a huge prime with a bad n is refused before trial division
+        if self.n < 2:
+            raise ValueError("need n >= 2")
         for p in (self.p1, self.p2, self.p3):
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
         if not self.p1 < self.p2 < self.p3 < 2 * self.p1:
             raise ValueError("need p1 < p2 < p3 < 2*p1")
-        if self.n < 2:
-            raise ValueError("need n >= 2")
         if self.target_beta is not None and not 0 < self.target_beta < Fraction(3, 2):
             raise ValueError("target_beta must lie in (0, 3/2)")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if self.epsilon is not None and not (
+            0 < self.epsilon < 3 and self.epsilon.denominator <= EPSILON_DENOMINATOR_LIMIT
+        ):
+            raise ValueError(
+                f"epsilon must lie in (0, 3), with denominator at most {EPSILON_DENOMINATOR_LIMIT}"
+            )
 
     @property
     def modulus(self) -> int:
@@ -120,8 +132,9 @@ class Theorem2Instance:
         return d
 
 
-def _progression(start: int, step: int, length: int) -> list[int]:
-    return [start + k * step for k in range(length)]
+def _sums(progressions) -> list[int]:
+    """Every sum of one term from each progression, in product order."""
+    return [sum(t) for t in itertools.product(*progressions)]
 
 
 def theorem2_generate(params: Theorem2Params) -> Theorem2Instance:
@@ -138,32 +151,21 @@ def theorem2_generate(params: Theorem2Params) -> Theorem2Instance:
     n = params.n
     modulus = params.modulus
 
-    tile_elems = [0]
-    for p in ps:
-        step = modulus // p**n
-        tile_elems = [x + j * step for x in tile_elems for j in range(p)]
-    tile = IntegerSet.from_iterable(tile_elems)
-
-    columns = [
-        _progression(0, modulus // p ** (n - 1), p ** (n - 1)) for p in ps
-    ]
-    base_elems = [0]
-    for column in columns:
-        base_elems = [x + y for x in base_elems for y in column]
+    steps = [modulus // p**n for p in ps]
+    tile = IntegerSet.from_iterable(_sums(range(0, p * s, s) for p, s in zip(ps, steps)))
+    columns = [range(0, modulus, p * s) for p, s in zip(ps, steps)]
     # raw sums can exceed M; they are pairwise distinct mod M, so folding
     # keeps the cardinality (from_iterable would reject a collision)
-    complement_base = IntegerSet.from_iterable(x % modulus for x in base_elems)
+    complement_base = IntegerSet.from_iterable(x % modulus for x in _sums(columns))
 
-    shift_a = (params.p3 ** (n - 1) - 1) * modulus // params.p3 ** (n - 1)
-    shift_b = (params.p2 ** (n - 1) - 1) * modulus // params.p2 ** (n - 1) + (
-        params.p1 ** (n - 1) - 1
-    ) * modulus // params.p1 ** (n - 1)
+    # the last term of each column is (p^(n-1) - 1) * M / p^(n-1)
+    shift_a = columns[2][-1]
+    shift_b = columns[1][-1] + columns[0][-1]
 
-    counts = Counter(x % modulus for x in base_elems)
-    for offset, p, column in zip((0, shift_a, shift_b), ps, columns):
-        delta = modulus // p**n
+    counts = Counter(complement_base.elements)
+    for offset, step, column in zip((0, shift_a, shift_b), steps, columns):
         for y in column:
-            counts[(offset + y + delta) % modulus] += 1
+            counts[(offset + y + step) % modulus] += 1
             counts[(offset + y) % modulus] -= 1
     bad = {e: c for e, c in counts.items() if c not in (0, 1)}
     if bad:
@@ -245,7 +247,7 @@ def theorem2_exponent_report(instance: Theorem2Instance) -> ExponentReport:
         diam=instance.diam,
         diam_upper_bound=bound,
         diam_within_bound=instance.checks.diam_within_bound,
-        exponent=math.log(instance.modulus) / math.log(instance.diam),
+        exponent=instance.log_ratio,
         alpha=alpha,
         beta_below_alpha=beta_ok,
         prime_growth_ok=growth_ok,
@@ -279,8 +281,8 @@ def diameter_counterexample(p: int, q: int) -> tuple[IntegerSet, CounterexampleR
         raise ValueError("p and q must be prime")
     if not p < q < 2 * p:
         raise ValueError("need p < q < 2p")
-    elements = sorted(i * p + j * q for i in range(p) for j in range(q))
-    tile = IntegerSet(elements)  # sums are pairwise distinct since q > p
+    # the sums are pairwise distinct since q > p
+    tile = IntegerSet(sorted(_sums([range(0, p * p, p), range(0, q * q, q)])))
     modulus = p * p * q * q
     diam = tile.diameter()
     threshold = (p - 1) * modulus // p
@@ -298,27 +300,23 @@ def diameter_counterexample(p: int, q: int) -> tuple[IntegerSet, CounterexampleR
 def standard_tile(prime_power_spec: list[tuple[int, int]]) -> IntegerSet:
     """A box tile realizing a complete residue system mod the product.
 
-    Each prime p with total exponent e contributes e digit scales
-    p^(j-1) * N / p^e for j = 1..e, where N is the product of all the
-    prime powers; the tile is the direct sum of {0..p-1} at every scale.
-    Scales are assigned in increasing prime order, which fixes the output.
-    The result tiles Z_N (it is a complete residue system mod N) and
-    satisfies both spectrum conditions.
+    N is the product of all the prime powers. Each prime p with total
+    exponent e contributes the progression of multiples of N / p^e below N,
+    and the tile is the sum of these progressions. The result tiles Z_N
+    (it is a complete residue system mod N) and satisfies both spectrum
+    conditions.
     """
     if not prime_power_spec:
         raise ValueError("spec must be nonempty")
     exponents: dict[int, int] = {}
     for p, a in prime_power_spec:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        # the exponent first: the primality test is trial division
         if a < 1:
             raise ValueError("exponents must be positive")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         exponents[p] = exponents.get(p, 0) + a
     total = math.prod(p**e for p, e in exponents.items())
-    elems = [0]
-    for p in sorted(exponents):
-        e = exponents[p]
-        for j in range(1, e + 1):
-            step = p ** (j - 1) * total // p**e
-            elems = [x + i * step for x in elems for i in range(p)]
-    return IntegerSet.from_iterable(elems)
+    return IntegerSet.from_iterable(
+        _sums(range(0, total, total // p**e) for p, e in exponents.items())
+    )

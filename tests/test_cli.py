@@ -1,9 +1,14 @@
+import contextlib
 import hashlib
 import io
 import json
+import math
+import time
 
 import jsonschema
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from inttiles import cli
 from inttiles.faults import InconsistentRoutesError
@@ -199,6 +204,11 @@ GOLDEN_RUNS = [
         id="construct-box",
     ),
     pytest.param(
+        ("construct", "box", "--powers", "2^3,3^2,5^1"),
+        "d7f57abfa7096306b6460175d6e562fef55b1de873983b1816f61cefe5ac5fc6",
+        id="construct-box-three-primes",
+    ),
+    pytest.param(
         ("construct", "theorem2", "--p", "7,11,13", "--n", "2",
          "--beta", "11/10", "--epsilon", "1/10"),
         "4b38929fa6eaca57bbc252d10a5e3f54cccf8ecd090c170776b174751decc980",
@@ -208,6 +218,16 @@ GOLDEN_RUNS = [
         ("counterexample", "--p", "7", "--q", "11"),
         "f3b85e633f5572388cd1f550625ae9b3eb68e7703fdb98738a56c12c9e337f08",
         id="counterexample",
+    ),
+    pytest.param(
+        ("counterexample", "--p", "5", "--q", "7"),
+        "805099ef7628ee2ed5a3cd988bd5fc1c5e69571ca31d8284abf1b19f7c87307b",
+        id="counterexample-5-7",
+    ),
+    pytest.param(
+        ("counterexample", "--p", "11", "--q", "13"),
+        "4cec231fb0c29f6dcf1c40e609f283815572c8795c1908c1b351bf6e7c7f142b",
+        id="counterexample-11-13",
     ),
     pytest.param(
         ("min-period", "--set", "0,1,4,5", "--format", "text"),
@@ -393,3 +413,209 @@ def test_jobs_env_var_validation(monkeypatch):
     code, _, err = run_cli("min-period", "--set", "0,1")
     assert code == 2
     assert cli.JOBS_ENV_VAR in err
+
+
+# Each of these once hung, ran out of memory, exited 4 or misread its input.
+# Every generator is patched to fail if reached, so the refusal must come first.
+REFUSED = [
+    pytest.param(("construct", "theorem2", "--p", "7,11,13", "--n", n), None, id=f"theorem2-n{n}")
+    for n in ("3", "100", "1000000000")
+] + [
+    pytest.param(("construct", "box", "--powers", "2^40"), None, id="box-2^40"),
+    pytest.param(  # 1031 * 1033 > 2^20, and both are primes with q < 2p
+        ("counterexample", "--p", "1031", "--q", "1033"), None, id="counterexample-pq"
+    ),
+    pytest.param(
+        ("construct", "theorem2", "--p", "7,11,13", "--n", "2", "--epsilon", "1000000000"),
+        None,
+        id="epsilon-large",
+    ),
+    pytest.param(
+        ("construct", "theorem2", "--p", "7,11,13", "--n", "2", "--epsilon", "1/1000000000"),
+        None,
+        id="epsilon-small",
+    ),
+    pytest.param(
+        ("construct", "theorem2", "--p", "7,11,13", "--n", "2", "--epsilon", "1e-100000000"),
+        None,
+        id="epsilon-exponent",
+    ),
+    pytest.param(
+        ("construct", "theorem2", "--p", "7,11,13", "--n", "2", "--beta", "1/0"),
+        None,
+        id="beta-zero-denominator",
+    ),
+    pytest.param(("analyze",), [0, 1.5], id="analyze-float"),
+    pytest.param(("analyze",), ["0", "1"], id="analyze-strings"),
+    pytest.param(("analyze",), [0, True], id="analyze-bool"),
+    pytest.param(("min-period",), [0, 2.0], id="min-period-float"),
+    pytest.param(
+        ("check-tiling",),
+        {"tile": [0, 1.0], "complement": [0, 2], "modulus": 4},
+        id="check-tiling-float-element",
+    ),
+    pytest.param(("check-tiling",), [0, 1], id="check-tiling-array"),
+    pytest.param(
+        ("check-tiling",),
+        {"tile": [0, 1], "complement": [0, 2], "modulus": 4.7},
+        id="check-tiling-float-modulus",
+    ),
+    pytest.param(
+        ("check-tiling",),
+        {"tile": [0, 1], "complement": [0, 2], "modulus": True},
+        id="check-tiling-bool-modulus",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,document", REFUSED)
+def test_refused_inputs_exit_2_at_once(argv, document, tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reached past the input checks")
+
+    for name in ("theorem2_generate", "standard_tile", "diameter_counterexample",
+                 "is_tiling", "cm_report", "minimal_tiling_period"):
+        monkeypatch.setattr(cli, name, forbidden)
+    if document is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        argv = (*argv, "--input", str(path))
+    started = time.perf_counter()
+    code, out, err = run_cli(*argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# --- argv fuzz -------------------------------------------------------------------
+
+
+def _csv(values):
+    return ",".join(str(v) for v in values)
+
+
+_SMALL_INTS = st.one_of(
+    st.sets(st.integers(0, 40), min_size=1, max_size=6).map(sorted),
+    st.lists(st.integers(-2, 40), max_size=6),
+)
+_SMALL_PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23])
+_JSON_SCALARS = st.one_of(
+    st.integers(-2, 40), st.floats(-50, 50), st.booleans(), st.text(max_size=3), st.none()
+)
+_JSON_ARRAYS = st.one_of(_SMALL_INTS, st.lists(_JSON_SCALARS, max_size=4))
+_TILING_DOCS = st.fixed_dictionaries(
+    {},
+    optional={
+        "tile": _JSON_ARRAYS,
+        "complement": _JSON_ARRAYS,
+        "modulus": st.one_of(st.integers(-3, 10**4), _JSON_SCALARS),
+    },
+)
+_FRACTIONS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-3, 10**9), st.integers(0, 10**9)),
+    st.sampled_from(["0.1", "3", "1/0", "1e-5", "abc", "inf", ""]),
+)
+
+
+@st.composite
+def cli_runs(draw):
+    """An argv for one subcommand and the JSON document its --input names,
+    if any. Values stay small: moduli up to 10^4, --n in {1, 2, 3}, corpus
+    diameters up to 4 and --jobs absent or 1, so no run is slow, allocates
+    much or starts a process. Each value goes in one --flag=value token, so
+    argparse reads a negative number as a value."""
+    kind = draw(st.sampled_from(
+        ["analyze", "check-tiling", "min-period", "theorem2", "box", "counterexample",
+         "corpus"]
+    ))
+    document = None
+    if kind in ("analyze", "min-period"):
+        argv = [kind]
+        if draw(st.booleans()):
+            argv.append(f"--set={_csv(draw(_SMALL_INTS))}")
+        else:
+            argv.append("--input={input}")
+            document = draw(st.one_of(_JSON_ARRAYS, _TILING_DOCS))
+        if kind == "min-period":
+            # the unrestricted default cap can take seconds, so it gets a cap
+            unrestricted = draw(st.booleans())
+            if unrestricted or draw(st.booleans()):
+                argv.append(f"--cap={draw(st.integers(-2, 100))}")
+            if unrestricted or draw(st.booleans()):
+                argv.append(f"--mode={'unrestricted' if unrestricted else 'restricted'}")
+            for flag, values in (("--node-budget", st.integers(-1, 500)), ("--jobs", st.just(1))):
+                if draw(st.booleans()):
+                    argv.append(f"{flag}={draw(values)}")
+    elif kind == "check-tiling":
+        argv = [kind]
+        if draw(st.booleans()):
+            argv.append("--input={input}")
+            document = draw(st.one_of(_TILING_DOCS, _JSON_ARRAYS))
+        else:
+            for flag in ("--tile", "--complement"):
+                if draw(st.integers(0, 5)):
+                    argv.append(f"{flag}={_csv(draw(_SMALL_INTS))}")
+            if draw(st.integers(0, 5)):
+                argv.append(f"--modulus={draw(st.integers(-3, 10**4))}")
+        if draw(st.booleans()):
+            argv.append("--force")
+    elif kind == "theorem2":
+        # (7, 11, 13) is the only valid triple up to 13; at n = 2 it builds
+        # M = 1001^2 in about 0.25 s, and the pinned outputs cover it
+        size = draw(st.sampled_from([2, 3, 3, 3, 4]))  # mostly three primes
+        primes = draw(st.lists(st.one_of(st.sampled_from([2, 3, 5, 7, 11, 13]),
+                                         st.integers(-1, 13)), min_size=size, max_size=size))
+        n = draw(st.sampled_from([1, 2, 3]))
+        assume((primes, n) != ([7, 11, 13], 2))
+        argv = ["construct", "theorem2", f"--p={_csv(primes)}", f"--n={n}"]
+        for flag in ("--beta", "--epsilon"):
+            if draw(st.booleans()):
+                argv.append(f"{flag}={draw(_FRACTIONS)}")
+    elif kind == "box":
+        base = st.one_of(_SMALL_PRIMES, st.integers(-1, 13))
+        powers = draw(st.lists(st.tuples(base, st.integers(-1, 4)), min_size=1, max_size=3))
+        size = math.prod(b**e for b, e in powers if b > 1 and e > 0)
+        assume(not 10**4 < size <= cli.ELEMENT_SAFETY_LIMIT)
+        spec = _csv(f"{b}^{e}" if e != 1 or draw(st.booleans()) else b for b, e in powers)
+        argv = ["construct", "box", f"--powers={spec}"]
+    elif kind == "counterexample":
+        p, q = (draw(st.one_of(_SMALL_PRIMES, st.integers(-1, 100))) for _ in "pq")
+        argv = [kind, f"--p={p}", f"--q={q}"]
+    else:
+        argv = [kind, f"--max-diameter={draw(st.integers(-2, 4))}"]
+        if draw(st.booleans()):
+            argv.append("--jobs=1")
+        if draw(st.booleans()):
+            argv.append("--force")
+    if kind != "corpus" and draw(st.booleans()):
+        argv.append("--format=json")
+    return argv, document
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=cli_runs())
+def test_argv_fuzz(run, tmp_path_factory):
+    argv, document = run
+    if document is not None:
+        path = tmp_path_factory.getbasetemp() / "fuzz-input.json"
+        path.write_text(json.dumps(document))
+        argv = [arg.replace("{input}", str(path)) for arg in argv]
+    stderr = io.StringIO()  # argparse writes its own errors to sys.stderr
+    with contextlib.redirect_stderr(stderr):
+        code, out, err = run_cli(*argv)
+    err += stderr.getvalue()
+    # exit 4 is a fault of the program, never the answer to user input
+    assert code in (0, 2, 3), err
+    if code == 2:
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        return
+    assert err == ""
+    if argv[0] == "corpus":
+        for line in out.splitlines():
+            jsonschema.validate(json.loads(line), CORPUS_RECORD)
+    else:
+        envelope = json.loads(out)
+        jsonschema.validate(envelope, ENVELOPE)
+        jsonschema.validate(envelope["payload"], PAYLOAD_SCHEMAS[envelope["subcommand"]])

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from inttiles.cmcheck import check_t1, check_t2, spectrum
+from inttiles import constructions
 from inttiles.constructions import (
+    EPSILON_DENOMINATOR_LIMIT,
     Theorem2Params,
     diameter_counterexample,
     standard_tile,
@@ -33,6 +35,24 @@ def test_params_validation():
         Theorem2Params(7, 11, 13, 2, target_beta=Fraction(3, 2))
     with pytest.raises(ValueError):
         Theorem2Params(7, 11, 13, 2, epsilon=Fraction(0))
+    with pytest.raises(ValueError):
+        Theorem2Params(7, 11, 13, 2, epsilon=Fraction(3))  # alpha = 0
+    with pytest.raises(ValueError):
+        Theorem2Params(7, 11, 13, 2, epsilon=Fraction(10**9))
+    with pytest.raises(ValueError):
+        Theorem2Params(7, 11, 13, 2, epsilon=Fraction(1, EPSILON_DENOMINATOR_LIMIT + 1))
+
+
+def test_bad_n_and_exponents_refused_before_primality(monkeypatch):
+    # trial division of a large prime would take hours
+    def forbidden(n):
+        raise AssertionError("primality tested before the cheap checks")
+
+    monkeypatch.setattr(constructions, "is_prime", forbidden)
+    with pytest.raises(ValueError, match="n >= 2"):
+        Theorem2Params(2**61 - 1, 11, 13, 1)
+    with pytest.raises(ValueError, match="exponents"):
+        standard_tile([(2**61 - 1, 0)])
 
 
 def test_alpha_formula():
@@ -129,6 +149,20 @@ def test_exponent_report_with_targets(desk_instance):
     assert theorem2_exponent_report(big).prime_growth_ok is True
 
 
+@pytest.mark.parametrize(
+    "epsilon",
+    [Fraction(1, EPSILON_DENOMINATOR_LIMIT), Fraction(3 * EPSILON_DENOMINATOR_LIMIT - 1,
+                                                      EPSILON_DENOMINATOR_LIMIT),
+     Fraction(1, 3), Fraction(5, 4), Fraction(7, 3)],
+)
+def test_exponent_report_verdict_at_epsilon_bounds(desk_instance, epsilon):
+    # the exact comparison agrees with floats away from the threshold, and
+    # stays cheap at the largest epsilon and denominator accepted
+    inst = replace(desk_instance, params=Theorem2Params(7, 11, 13, 2, epsilon=epsilon))
+    expected = (7 ** float(epsilon) / 2) ** 2 > 1.5**1.5
+    assert theorem2_exponent_report(inst).prime_growth_ok is expected
+
+
 def test_second_desk_instance():
     inst = theorem2_generate(Theorem2Params(11, 13, 17, 2))
     assert inst.modulus == (11 * 13 * 17) ** 2
@@ -204,6 +238,31 @@ def test_standard_tile_tiles_and_satisfies_conditions():
         assert b is not None
         assert is_tiling(tile, b, modulus).tiles
         assert check_t1(tile) and check_t2(tile)
+
+
+def _digit_scale_tile(spec):
+    """The box tile as a direct sum of {0..p-1} at the digit scales
+    p^(j-1) * N / p^e, j = 1..e, one loop level per scale."""
+    exponents = {}
+    for p, a in spec:
+        exponents[p] = exponents.get(p, 0) + a
+    total = math.prod(p**e for p, e in exponents.items())
+    elems = [0]
+    for p in sorted(exponents):
+        e = exponents[p]
+        for j in range(1, e + 1):
+            step = p ** (j - 1) * total // p**e
+            elems = [x + i * step for x in elems for i in range(p)]
+    return tuple(sorted(elems))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [[(2, 1)], [(2, 3)], [(3, 2), (2, 1)], [(2, 3), (3, 2), (5, 1)], [(5, 1), (2, 2), (5, 1)],
+     [(7, 1), (3, 1), (2, 4)], [(2, 2), (3, 1), (5, 1), (7, 1)], [(11, 2), (2, 1)]],
+)
+def test_standard_tile_matches_digit_scales(spec):
+    assert standard_tile(spec).elements == _digit_scale_tile(spec)
 
 
 def test_standard_tile_merges_repeated_primes():
