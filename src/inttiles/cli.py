@@ -111,8 +111,17 @@ def _input_set(args) -> IntegerSet:
     return _load_set(args.input) if args.input else _parse_set(args.set)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises its errors instead of printing usage,
+    so main reports them in one stderr line like every other usage error.
+    add_subparsers builds each subparser from this class as well."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="inttiles",
         description="Analyze translational tilings of the integers.",
     )
@@ -335,17 +344,15 @@ _HANDLERS = {
 def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-
-    started = time.perf_counter()
-    try:
+        args = build_parser().parse_args(argv)
+        started = time.perf_counter()
         if args.subcommand == "corpus":
             return _run_corpus(args, out)
         payload, code, normalization = _HANDLERS[args.subcommand](args)
+    except SystemExit as exc:
+        # only --help and its kin exit inside argparse; the text is printed
+        return exc.code
     except InternalFaultError as exc:
         print(f"internal-consistency fault: {exc}", file=err)
         return 4

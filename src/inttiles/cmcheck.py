@@ -4,9 +4,12 @@ The spectrum of a tile A is the set of prime powers p^a whose cyclotomic
 polynomial divides the mask polynomial of A. Condition (T1) compares |A|
 with the product of Phi_{p^a}(1) = p over the spectrum; (T2) requires the
 cyclotomic of every cross-prime product of spectrum elements to divide A
-as well. Both checks are exact. A report computes the spectrum once and
-reads (T1), (T2) and the lcm divisibility off it; every divisibility test
-runs on the sparse mask, an exponent -> coefficient map of the elements.
+as well. Both checks are exact. Phi_{p^a} is monic, so by Gauss's lemma
+A(X) / Phi_{p^a}(X) is an integer polynomial when it divides, and p
+divides A(1) = |A|: only the primes of |A| can enter the spectrum. A
+report computes the spectrum once and reads (T1), (T2) and the lcm
+divisibility off it; every divisibility test runs on the sparse mask, an
+exponent -> coefficient map of the elements.
 """
 
 from __future__ import annotations
@@ -17,21 +20,22 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .polyring import cyclotomic_divides, euler_phi, is_prime, primes_up_to, smallest_prime_factor
+from .polyring import cyclotomic_divides, euler_phi, factorize, is_prime, smallest_prime_factor
 from .tilingset import IntegerSet, json_fields
 
 
 def spectrum(tile: IntegerSet) -> tuple[int, ...]:
     """Prime powers p^a with Phi_{p^a} dividing the mask polynomial, sorted.
 
-    Only indices with euler_phi(p^a) <= diameter can divide, which bounds
-    the search: p runs over primes <= diameter + 1 and a grows while
+    Phi_{p^a}(1) = p, so by Gauss's lemma p divides |A| = A(1) whenever
+    Phi_{p^a} divides: p runs over the primes of |A|. Only indices with
+    euler_phi(p^a) <= diameter can divide, so a grows while
     p^(a-1) * (p-1) stays within the diameter.
     """
     diam = tile.diameter()
     mask = dict.fromkeys(tile.elements, 1)
     found = []
-    for p in primes_up_to(diam + 1):
+    for p in factorize(len(tile)).primes:
         power = p
         while (power // p) * (p - 1) <= diam:
             if cyclotomic_divides(power, mask):

@@ -178,18 +178,6 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, by sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, v in enumerate(sieve) if v]
-
-
 def factorize(n: int) -> Factorization:
     """Exact prime factorization by trial division; factorize(1) is empty."""
     if n < 1:

@@ -78,6 +78,20 @@ def test_analyze_from_file(tmp_path):
     assert env["payload"]["spectrum"] == [2, 4]
 
 
+@pytest.mark.parametrize(
+    "elements,spectrum,t1", [("0,100000000000", [4096], True), ("0,1,100000000000", [], False)]
+)
+def test_analyze_huge_diameter(elements, spectrum, t1):
+    # only the primes of |A| can enter the spectrum, so nothing here
+    # scales with the diameter 10^11
+    started = time.perf_counter()
+    code, env = run_json("analyze", "--set", elements)
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    assert env["payload"]["spectrum"] == spectrum
+    assert env["payload"]["t1"] is t1
+
+
 def test_check_tiling_inline():
     code, env = run_json(
         "check-tiling", "--tile", "0,1", "--complement", "0,2", "--modulus", "4"
@@ -350,6 +364,35 @@ def test_usage_error_set_and_input_conflict(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze",),
+        ("construct", "theorem2", "--p", "7,11,13", "--n", "abc"),
+        ("frobnicate",),
+        ("analyze", "--set", "0,1", "--input", "set.json"),
+    ],
+    ids=["missing-set", "n-not-int", "unknown-subcommand", "set-and-input"],
+)
+def test_argparse_error_is_one_line(argv):
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert stderr.getvalue() == ""  # argparse prints no usage of its own
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+def test_help_exits_0():
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code, _, err = run_cli("--help")
+    assert code == 0
+    assert stdout.getvalue().startswith("usage: inttiles")
+    assert err == ""
+
+
 def test_usage_error_check_tiling_needs_full_triple():
     code, _, err = run_cli("check-tiling", "--tile", "0,1")
     assert code == 2
@@ -499,6 +542,9 @@ _SMALL_INTS = st.one_of(
     st.sets(st.integers(0, 40), min_size=1, max_size=6).map(sorted),
     st.lists(st.integers(-2, 40), max_size=6),
 )
+# analyze costs log(diameter) kernel calls per prime of |A|, so its
+# elements can be huge; min-period's search still grows with the diameter
+_HUGE_INTS = st.sets(st.integers(0, 10**12), min_size=1, max_size=6).map(sorted)
 _SMALL_PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23])
 _JSON_SCALARS = st.one_of(
     st.integers(-2, 40), st.floats(-50, 50), st.booleans(), st.text(max_size=3), st.none()
@@ -523,8 +569,10 @@ def cli_runs(draw):
     """An argv for one subcommand and the JSON document its --input names,
     if any. Values stay small: moduli up to 10^4, --n in {1, 2, 3}, corpus
     diameters up to 4 and --jobs absent or 1, so no run is slow, allocates
-    much or starts a process. Each value goes in one --flag=value token, so
-    argparse reads a negative number as a value."""
+    much or starts a process; only analyze takes elements up to 10^12.
+    Each value goes in one --flag=value token, so argparse reads a negative
+    number as a value. Some argvs lose a required token or gain an unknown
+    option."""
     kind = draw(st.sampled_from(
         ["analyze", "check-tiling", "min-period", "theorem2", "box", "counterexample",
          "corpus"]
@@ -533,7 +581,8 @@ def cli_runs(draw):
     if kind in ("analyze", "min-period"):
         argv = [kind]
         if draw(st.booleans()):
-            argv.append(f"--set={_csv(draw(_SMALL_INTS))}")
+            ints = _HUGE_INTS if kind == "analyze" and draw(st.booleans()) else _SMALL_INTS
+            argv.append(f"--set={_csv(draw(ints))}")
         else:
             argv.append("--input={input}")
             document = draw(st.one_of(_JSON_ARRAYS, _TILING_DOCS))
@@ -590,6 +639,15 @@ def cli_runs(draw):
             argv.append("--force")
     if kind != "corpus" and draw(st.booleans()):
         argv.append("--format=json")
+    # about one argv in ten each; hypothesis draws 0 far more often than
+    # 1 in 10, so the test is for 5
+    if draw(st.integers(0, 9)) == 5:
+        # the subcommand or the token after it, which every subcommand
+        # but check-tiling requires (dropping min-period's --cap instead
+        # could make a run slow)
+        del argv[draw(st.integers(0, min(1, len(argv) - 1)))]
+    if draw(st.integers(0, 9)) == 5:
+        argv.append("--bogus=1")
     return argv, document
 
 
@@ -601,7 +659,7 @@ def test_argv_fuzz(run, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / "fuzz-input.json"
         path.write_text(json.dumps(document))
         argv = [arg.replace("{input}", str(path)) for arg in argv]
-    stderr = io.StringIO()  # argparse writes its own errors to sys.stderr
+    stderr = io.StringIO()  # nothing may bypass main's err stream either
     with contextlib.redirect_stderr(stderr):
         code, out, err = run_cli(*argv)
     err += stderr.getvalue()

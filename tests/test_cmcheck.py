@@ -4,6 +4,8 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import enumerate_normalized_sets
 from inttiles.cmcheck import (
@@ -35,6 +37,27 @@ def test_spectrum_agrees_with_division():
         mask = a.mask_polynomial()
         for s in spectrum(a):
             assert exact_divide(mask, cyclotomic(s)) is not None
+
+
+# Closed forms that reach far past the dense reference's diameters.
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 10**12))
+def test_spectrum_of_pair(m):
+    # 1 + X^m is the product of Phi_d over d | 2m with d not dividing m;
+    # the one prime power among them is 2^(v2(m) + 1)
+    assert spectrum(IntegerSet.of(0, m)) == (2 * (m & -m),)
+
+
+def test_spectrum_of_interval():
+    # 1 + X + ... + X^(n-1) is the product of Phi_d over d | n, d > 1
+    for n in range(1, 301):
+        expected = tuple(
+            d for d in range(2, n + 1)
+            if n % d == 0 and factorize(d).num_distinct_primes() == 1
+        )
+        assert spectrum(IntegerSet(tuple(range(n)))) == expected, n
 
 
 def test_spectrum_translation_invariant_after_normalization():

@@ -18,7 +18,6 @@ from inttiles.polyring import (
     factorize,
     is_prime,
     mul_mod_cyclic,
-    primes_up_to,
 )
 
 
@@ -224,11 +223,14 @@ def test_divisors_sorted():
     assert factorize(5929).divisors() == [1, 7, 11, 49, 77, 121, 539, 847, 5929]
 
 
-def test_primes_up_to():
-    assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert primes_up_to(1) == []
-    # the sieve and trial division agree
-    assert [n for n in range(-3, 500) if is_prime(n)] == primes_up_to(499)
+def test_is_prime_matches_sieve():
+    # trial division against a sieve of Eratosthenes over [0, 500)
+    sieve = [n >= 2 for n in range(500)]
+    for p in range(2, 23):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+    assert [n for n in range(2, 21) if sieve[n]] == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert [n for n in range(-3, 500) if is_prime(n)] == [n for n in range(500) if sieve[n]]
 
 
 # --- cyclotomic_divides -------------------------------------------------------
