@@ -10,6 +10,7 @@ other unexpected error (one line on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -345,7 +346,9 @@ def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = build_parser().parse_args(argv)
+        # argparse prints --help to sys.stdout
+        with contextlib.redirect_stdout(out):
+            args = build_parser().parse_args(argv)
         started = time.perf_counter()
         if args.subcommand == "corpus":
             return _run_corpus(args, out)

@@ -14,9 +14,19 @@ iff |A||B| = M and, for every divisor s > 1 of M, the cyclotomic
 polynomial Phi_s divides A(X) or B(X). Each Phi_s is irreducible, so it
 divides the product A(X)B(X) exactly when it divides one of the factors;
 the route therefore tests the two sparse mask polynomials separately and
-never forms their length-M product. The two routes are provably
-equivalent, so a disagreement is escalated as a fault rather than resolved
-silently.
+never forms their length-M product. It first peels arithmetic
+progressions {0, d, ..., (k-1)d} off each set, so that A(X) = R(X) * prod
+(X^(kd) - 1)/(X^d - 1), and reads Phi_s | A off the factors: s | kd and s
+not dividing d. Only when no factor of either set has Phi_s does the
+sparse kernel test Phi_s | R. Box tiles, the lattice complements and the
+theorem2 tile factor down to R = X^r, so the kernel sees one term instead
+of |A|, if it runs at all; the column-shifted theorem2 complement, like
+any set with no progression structure, is passed whole.
+
+The direct route does not factor: it shares no code with the cyclotomic
+route, so a fault in the factoring shows up as a route disagreement, not
+as one wrong answer from both. The two routes are provably equivalent, so
+a disagreement is escalated as a fault rather than resolved silently.
 """
 
 from __future__ import annotations
@@ -204,13 +214,46 @@ def _direct_route(tile, complement, modulus):
     return under is None and over is None, under, over
 
 
+def _progression_factors(elements):
+    """Peel progressions {0, d, ..., (k-1)d} off a sorted set, one at a time.
+
+    Returns (rest_terms, factors): the mask of what is left, exponent -> 1,
+    and the peeled (d, k) pairs, smallest step first, so that the set's
+    mask polynomial is rest(X) * prod (X^(kd) - 1)/(X^d - 1). Each peel
+    takes d as the first gap and the starts as the x with x - d not in the
+    set, and is kept only if starts + {0, d, ..., (k-1)d}, built in full,
+    is the set: checking only each chain's end would accept chains of
+    unequal length. A kept peel at least halves the set, so this is O(|A|).
+    """
+    rest, factors = list(elements), []
+    while len(rest) > 1:
+        d = rest[1] - rest[0]
+        members = set(rest)
+        starts = [x for x in rest if x - d not in members]
+        k, left = divmod(len(rest), len(starts))
+        if left or {x + i * d for x in starts for i in range(k)} != members:
+            break
+        factors.append((d, k))
+        rest = starts
+    return dict.fromkeys(rest, 1), factors
+
+
 def _cyclotomic_route(tile, complement, modulus):
     if len(tile) * len(complement) != modulus:
         return False, None
-    a_terms = dict.fromkeys(tile.elements, 1)
-    b_terms = dict.fromkeys(complement.elements, 1)
+    a_rest, a_factors = _progression_factors(tile.elements)
+    b_rest, b_factors = _progression_factors(complement.elements)
+    factors = a_factors + b_factors
     for s in divisors(modulus)[1:]:
-        if not (cyclotomic_divides(s, a_terms) or cyclotomic_divides(s, b_terms)):
+        # Phi_s is irreducible, so it divides A(X)B(X) iff it divides one
+        # factor, and (X^(kd) - 1)/(X^d - 1) iff s | kd and s does not
+        # divide d. Every factor is read before the kernel runs: even on a
+        # one-term rest, the kernel's cost grows with the largest prime of s.
+        if not (
+            any(k * d % s == 0 and d % s for d, k in factors)
+            or cyclotomic_divides(s, a_rest)
+            or cyclotomic_divides(s, b_rest)
+        ):
             return False, s
     return True, None
 
@@ -221,7 +264,9 @@ def least_period(subset: IntegerSet, modulus: int) -> int:
         raise ValueError("elements must lie in [0, modulus)")
     base = frozenset(subset.elements)
     for d in divisors(modulus):
-        if frozenset((x + d) % modulus for x in base) == base:
+        # the translate has |base| elements in [0, modulus), so inclusion
+        # is equality
+        if all((x + d) % modulus in base for x in base):
             return d
     raise AssertionError("unreachable: modulus itself is always a period")
 

@@ -384,13 +384,13 @@ def test_argparse_error_is_one_line(argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
 
 
-def test_help_exits_0():
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code, _, err = run_cli("--help")
-    assert code == 0
-    assert stdout.getvalue().startswith("usage: inttiles")
-    assert err == ""
+def test_help_exits_0(capsys):
+    for argv in (("--help",), ("analyze", "--help")):
+        code, out, err = run_cli(*argv)
+        assert code == 0
+        assert out.startswith("usage: inttiles")
+        assert err == ""
+        assert capsys.readouterr() == ("", "")  # nothing on sys.stdout or sys.stderr
 
 
 def test_usage_error_check_tiling_needs_full_triple():

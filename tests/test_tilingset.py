@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import sys
 import tracemalloc
@@ -15,11 +16,13 @@ from inttiles.constructions import (
     theorem2_generate,
 )
 from inttiles.polyring import cyclotomic_divides, divisors, factorize, mul_mod_cyclic
+from inttiles import tilingset
 from inttiles.tilingset import (
     CyclicTiling,
     IntegerSet,
     _cyclotomic_route,
     _direct_route,
+    _progression_factors,
     is_tiling,
     least_period,
 )
@@ -227,6 +230,131 @@ def test_cyclotomic_route_matches_dense_product(instance):
     assert (verdict.tiles, verdict.failing_divisor) == expected
 
 
+# --- cyclotomic route: progression factors ----------------------------------
+
+
+@st.composite
+def progression_sum_instances(draw):
+    """Translated sums of 1-3 progressions {0, d, ..., (k-1)d} per set, not
+    lifted, so that the factor path is reached: box tilings of Z_M, and
+    pairs whose progression lengths multiply to M with free steps (equal
+    steps and colliding sums included)."""
+    m = draw(st.integers(1, 96))
+    primes = draw(st.permutations([p for p, e in factorize(m) for _ in range(e)]))
+    if draw(st.booleans()):
+        a, b = _box_pair(primes, draw(st.integers(0, len(primes))))
+    else:
+        lengths = [[1] * draw(st.integers(1, 3)) for _ in range(2)]
+        for p in primes:
+            side = lengths[draw(st.integers(0, 1))]
+            side[draw(st.integers(0, len(side) - 1))] *= p
+
+        def progression_sum(ks):
+            elems = [0]
+            for k in ks:
+                d = draw(st.integers(1, 2 * m))
+                elems = [x + i * d for x in elems for i in range(k)]
+            return elems
+
+        a, b = progression_sum(lengths[0]), progression_sum(lengths[1])
+    da, db = draw(st.integers(0, 2 * m)), draw(st.integers(0, 2 * m))
+    return (
+        IntegerSet.from_iterable({x + da for x in a}),
+        IntegerSet.from_iterable({x + db for x in b}),
+        m,
+    )
+
+
+# chains of unequal length whose ends all lie in the set: {1..6, 8, 10..14}
+# has starts 1, 8, 10 for d = 1 and 12 = 3 * 4 elements, yet is not
+# {1, 8, 10} + {0, 1, 2, 3}
+UNEQUAL_CHAINS = IntegerSet([1, 2, 3, 4, 5, 6, 8, 10, 11, 12, 13, 14])
+
+
+@settings(max_examples=400, deadline=None)
+@given(progression_sum_instances())
+@example((IntegerSet.of(0, 12, 24, 36, 48, 60), UNEQUAL_CHAINS, 72))
+@example((IntegerSet.of(8, 15, 17, 32, 57, 63), UNEQUAL_CHAINS, 72))
+@example((IntegerSet.of(0, 1, 2, 3), IntegerSet.of(0, 4), 8))  # {0,1} + {0,2}
+@example((IntegerSet.of(5), IntegerSet(range(3, 15)), 12))  # one element, all of Z_M
+@example((IntegerSet.of(0), IntegerSet.of(0), 1))
+def test_cyclotomic_route_matches_dense_on_progression_sums(instance):
+    a, b, m = instance
+    for x, y in ((a, b), (b, a)):
+        expected = _dense_cyclotomic_route(x, y, m)
+        assert _cyclotomic_route(x, y, m) == expected
+        verdict = is_tiling(x, y, m)  # raises if the routes disagree
+        assert (verdict.tiles, verdict.failing_divisor) == expected
+
+
+@st.composite
+def chain_runs(draw):
+    """c runs {x, x + d, ...} of step d, one missing term apart, with c * k
+    elements in all but lengths that may differ: a short run's end
+    x + (k - 1)d then lies in a later run, as in UNEQUAL_CHAINS."""
+    d, c, k = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    cuts = draw(st.sets(st.integers(1, c * k - 1), min_size=c - 1, max_size=c - 1))
+    bounds = [0, *sorted(cuts), c * k]
+    x, elems = draw(st.integers(0, 10)), []
+    for lo, hi in zip(bounds, bounds[1:]):
+        elems += [x + i * d for i in range(hi - lo)]
+        x = elems[-1] + 2 * d
+    return IntegerSet(elems)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        progression_sum_instances().map(lambda instance: instance[0]),
+        chain_runs(),
+        st.sets(st.integers(0, 60), min_size=1, max_size=16).map(IntegerSet.from_iterable),
+    )
+)
+@example(UNEQUAL_CHAINS)
+def test_progression_factors_rebuild_the_set(tile):
+    rest, factors = _progression_factors(tile.elements)
+    rebuilt = list(rest)
+    for d, k in factors:
+        assert d > 0 and k >= 2
+        rebuilt = [x + i * d for x in rebuilt for i in range(k)]
+    assert sorted(rebuilt) == list(tile.elements)
+    assert len(rest) * math.prod(k for _, k in factors) == len(tile)
+
+
+def test_progression_factors_examples():
+    assert _progression_factors(UNEQUAL_CHAINS.elements) == (
+        dict.fromkeys(UNEQUAL_CHAINS.elements, 1),
+        [],
+    )
+    assert _progression_factors((0, 1, 2, 3)) == ({0: 1}, [(1, 4)])
+    assert _progression_factors((0, 1, 4, 5)) == ({0: 1}, [(1, 2), (4, 2)])
+    assert _progression_factors((7,)) == ({7: 1}, [])
+    instance = theorem2_generate(Theorem2Params(7, 11, 13, 2))
+    assert _progression_factors(instance.tile.elements) == (
+        {0: 1},
+        [(5929, 13), (8281, 11), (20449, 7)],
+    )
+
+
+def test_box_tilings_need_no_kernel_call(monkeypatch):
+    # every divisor of a box tiling is settled by a progression factor; the
+    # kernel would cost O(p) even on a one-term rest at a large prime p
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cyclotomic_divides called")
+
+    monkeypatch.setattr(tilingset, "cyclotomic_divides", forbidden)
+    for factors, split, m in (
+        ([19997], 0, 19997),
+        ([2, 9133], 1, 18266),
+        ([2, 2, 3, 5], 2, 60),
+    ):
+        a, b = _box_pair(factors, split)
+        a = IntegerSet.from_iterable(x + 5 for x in a)
+        b = IntegerSet.from_iterable(x + 3 for x in b)
+        assert _cyclotomic_route(a, b, m) == (True, None)
+        assert _cyclotomic_route(b, a, m) == (True, None)
+
+
 def test_is_tiling_builds_no_dense_product(monkeypatch):
     k = 7
     tile = IntegerSet(k * x for x in standard_tile([(2, 2), (3, 1), (5, 1)]))
@@ -342,6 +470,19 @@ def test_least_period_divides_and_characterizes():
         for d in divisors(m):
             shifted = frozenset((x + d) % m for x in base)
             assert (shifted == base) == (d % lp == 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 60).flatmap(
+        lambda m: st.tuples(st.sets(st.integers(0, m - 1), min_size=1), st.just(m))
+    )
+)
+def test_least_period_matches_translate_equality(instance):
+    elements, m = instance
+    base = frozenset(elements)
+    expected = next(d for d in divisors(m) if frozenset((x + d) % m for x in base) == base)
+    assert least_period(IntegerSet.from_iterable(elements), m) == expected
 
 
 # --- CyclicTiling ------------------------------------------------------------
