@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,8 +33,9 @@ from .search import SearchConfig, minimal_tiling_period, worker_count
 from .tilingset import IntegerSet, is_tiling, json_fields
 
 CORPUS_SAFETY_LIMIT = 14
-# check-tiling's bitmask route peaks near 1.2 bytes per residue (tracemalloc
-# at M = 1,002,001), so this limit keeps one run within a few hundred MB
+# check-tiling's bitmask route peaks near 1.5 bytes per residue (tracemalloc
+# at M = 1,002,001 on a near miss; 0.65 on a tiling), so this limit keeps one
+# run within a few hundred MB
 MODULUS_SAFETY_LIMIT = 10**8
 # construct box and counterexample build one list element per residue or
 # pair; construct box --powers 2^20 took 0.34 s and 99 MB peak RSS
@@ -310,6 +310,9 @@ def _run_corpus(args, out) -> int:
     jobs = worker_count(args.jobs if args.jobs is not None else _default_jobs())
     sets = _corpus_sets(args.max_diameter)
     if jobs > 1:
+        # imported here: serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for line in pool.map(_corpus_record, sets, chunksize=16):
                 print(line, file=out)

@@ -303,25 +303,29 @@ def _vanishes(terms: dict[int, int], s: int) -> bool:
         return sum(terms.values()) == 0
     p = smallest_prime_factor(s)
     t = s // p
-    classes: list[dict[int, int]] = [defaultdict(int) for _ in range(p)]
+    # only the classes that receive a term are built: an empty class
+    # vanishes, and p may be far larger than the number of terms
+    classes: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
     if t % p == 0:
         # p^2 | s: zeta^a = zeta^(a mod p) * (zeta^p)^(a div p), and
         # 1, zeta, ..., zeta^(p-1) are a basis over Q(zeta^p).
         for a, c in terms.items():
             classes[a % p][a // p] += c
-        residual = classes
+        residual = classes.values()
     else:
         # p exactly divides s: split by a mod p against coordinates mod t,
         # then eliminate the omega^(p-1) component via 1 + omega + ... = 0.
         for a, c in terms.items():
             classes[a % p][a % t] += c
-        last = classes[p - 1]
+        last = classes.pop(p - 1, {})
         residual = []
-        for j in range(p - 1):
-            d = dict(classes[j])
+        for d in classes.values():
             for e, c in last.items():
-                d[e] = d.get(e, 0) - c
+                d[e] -= c
             residual.append(d)
+        if len(classes) < p - 1:
+            # an empty class j leaves -last, which vanishes iff last does
+            residual.append(last)
     seen = set()
     for cl in residual:
         reduced = {e: c for e, c in cl.items() if c}

@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -241,6 +240,9 @@ def _probe_parallel(probes, jobs):
     strictly in submission order, so the stream the caller sees is the one
     a serial scan would produce.
     """
+    # imported here: serial runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     window = 2 * jobs
     pending: deque = deque()
     with ProcessPoolExecutor(max_workers=jobs) as pool:

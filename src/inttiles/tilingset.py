@@ -7,21 +7,31 @@ twice, once; ORs in that mask shifted by each element of the smaller set,
 collecting the bits already covered as overlaps; and folds the [0, 2M)
 window once at the end (bit r + M is residue r, so a residue set in both
 halves is covered twice). It holds a few M-bit integers, never a length-M
-list.
+list. A set of at least 64 elements and M/64 is scattered into a
+bytearray(M), one byte per residue and so at most 64 bytes per element,
+and packed from eight strided slices; a per-element bit loop runs for
+smaller sets, or when the packed mask shows a repeated residue. When
+|A||B| = M and the larger set repeats no residue, the shifted copies are
+first ORed without tracking overlaps: a popcount of M means no two copies
+overlap, and if the two halves of the window are also disjoint, the sets
+tile. Any other outcome reruns the overlap-tracking loop, which gives the
+diagnostics.
 
 The cyclotomic route applies the Coven-Meyerowitz criterion: A + B = Z_M
 iff |A||B| = M and, for every divisor s > 1 of M, the cyclotomic
 polynomial Phi_s divides A(X) or B(X). Each Phi_s is irreducible, so it
 divides the product A(X)B(X) exactly when it divides one of the factors;
 the route therefore tests the two sparse mask polynomials separately and
-never forms their length-M product. It first peels arithmetic
-progressions {0, d, ..., (k-1)d} off each set, so that A(X) = R(X) * prod
-(X^(kd) - 1)/(X^d - 1), and reads Phi_s | A off the factors: s | kd and s
-not dividing d. Only when no factor of either set has Phi_s does the
-sparse kernel test Phi_s | R. Box tiles, the lattice complements and the
-theorem2 tile factor down to R = X^r, so the kernel sees one term instead
-of |A|, if it runs at all; the column-shifted theorem2 complement, like
-any set with no progression structure, is passed whole.
+never forms their length-M product. It first peels arithmetic progressions
+{0, d, ..., (k-1)d} off each set, so that
+A(X) = R(X) * prod (X^(kd) - 1)/(X^d - 1), and reads Phi_s | A off the
+factors: s | kd and s not dividing d. A set that is one whole progression,
+such as an interval, is recognised and peeled in one step. Only when no
+factor of either set has Phi_s does the sparse kernel test Phi_s | R. Box
+tiles, the lattice complements and the theorem2 tile factor down to
+R = X^r, so the kernel sees one term instead of |A|, if it runs at all;
+the column-shifted theorem2 complement, like any set with no progression
+structure, is passed whole.
 
 The direct route does not factor: it shares no code with the cyclotomic
 route, so a fault in the factoring shows up as a route disagreement, not
@@ -33,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .faults import InconsistentRoutesError
@@ -179,6 +190,18 @@ def is_tiling(tile: IntegerSet, complement: IntegerSet, modulus: int) -> TilingV
 def _residue_masks(elements, modulus):
     """Bitmasks of the residues of elements mod modulus: hit at least once,
     and hit more than once."""
+    n = len(elements)
+    if n >= 64 and n * 64 >= modulus:
+        # dense: one byte per residue, at most 64 per element, scattered by
+        # one map; byte j::8 of the marks is bit j of each mask byte. Below
+        # 64 elements the loop below measured faster.
+        marks = bytearray(modulus)
+        any(map(marks.__setitem__, map(modulus.__rmod__, elements), repeat(1)))
+        once = 0
+        for j in range(8):
+            once |= int.from_bytes(marks[j::8], "little") << j
+        if once.bit_count() == n:
+            return once, 0
     once = bytearray((modulus + 7) >> 3)
     twice = bytearray(len(once))
     for x in elements:
@@ -199,6 +222,16 @@ def _direct_route(tile, complement, modulus):
     # faster than masking each shift back into [0, M)
     small, large = sorted((tile.elements, complement.elements), key=len)
     base, base_twice = _residue_masks(large, modulus)
+    if not base_twice and len(small) * len(large) == modulus:
+        # |small| copies of |large| bits each (a repeated residue in large
+        # would leave fewer): a popcount of M means no two copies share a
+        # bit of [0, 2M), so with disjoint halves every residue is covered
+        # exactly once; otherwise the loop below finds the diagnostics
+        covered = 0
+        for a in small:
+            covered |= base << (a % modulus)
+        if covered.bit_count() == modulus and not covered & (covered >> modulus):
+            return True, None, None
     covered = over = 0
     for a in small:
         shift = a % modulus
@@ -228,6 +261,14 @@ def _progression_factors(elements):
     rest, factors = list(elements), []
     while len(rest) > 1:
         d = rest[1] - rest[0]
+        # one whole progression, peeled as the general peel below would;
+        # the span test keeps the range from outgrowing the set
+        if rest[-1] - rest[0] == d * (len(rest) - 1) and rest == list(
+            range(rest[0], rest[-1] + 1, d)
+        ):
+            factors.append((d, len(rest)))
+            rest = rest[:1]
+            continue
         members = set(rest)
         starts = [x for x in rest if x - d not in members]
         k, left = divmod(len(rest), len(starts))

@@ -3,7 +3,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -677,3 +681,20 @@ def test_argv_fuzz(run, tmp_path_factory):
         envelope = json.loads(out)
         jsonschema.validate(envelope, ENVELOPE)
         jsonschema.validate(envelope["payload"], PAYLOAD_SCHEMAS[envelope["subcommand"]])
+
+
+# --- import cost -----------------------------------------------------------------
+
+
+def test_cli_import_leaves_out_process_pools():
+    # serial runs never start a pool; importing one pulls in multiprocessing
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import sys, inttiles.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -1,8 +1,9 @@
 import math
 import random
+from collections import defaultdict
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import cyclotomic_poly
 from sympy.abc import x as sym_x
@@ -18,7 +19,9 @@ from inttiles.polyring import (
     factorize,
     is_prime,
     mul_mod_cyclic,
+    smallest_prime_factor,
 )
+from inttiles.polyring import _vanishes
 
 
 def sympy_cyclotomic_coeffs(s: int) -> tuple[int, ...]:
@@ -298,3 +301,75 @@ def test_cyclotomic_divides_all_ones_block():
         if s > 1:
             assert cyclotomic_divides(s, block)
     assert not cyclotomic_divides(7, block)  # 7 does not divide 360
+
+
+def _vanishes_all_classes(terms: dict[int, int], s: int) -> bool:
+    """Reference: the kernel as it was when it built all p classes at every
+    level, whatever the number of terms; verbatim apart from its name."""
+    # terms: exponent -> coefficient with exponents already in [0, s).
+    if not terms:
+        return True
+    if s == 1:
+        return sum(terms.values()) == 0
+    p = smallest_prime_factor(s)
+    t = s // p
+    classes: list[dict[int, int]] = [defaultdict(int) for _ in range(p)]
+    if t % p == 0:
+        # p^2 | s: zeta^a = zeta^(a mod p) * (zeta^p)^(a div p), and
+        # 1, zeta, ..., zeta^(p-1) are a basis over Q(zeta^p).
+        for a, c in terms.items():
+            classes[a % p][a // p] += c
+        residual = classes
+    else:
+        # p exactly divides s: split by a mod p against coordinates mod t,
+        # then eliminate the omega^(p-1) component via 1 + omega + ... = 0.
+        for a, c in terms.items():
+            classes[a % p][a % t] += c
+        last = classes[p - 1]
+        residual = []
+        for j in range(p - 1):
+            d = dict(classes[j])
+            for e, c in last.items():
+                d[e] = d.get(e, 0) - c
+            residual.append(d)
+    seen = set()
+    for cl in residual:
+        reduced = {e: c for e, c in cl.items() if c}
+        key = frozenset(reduced.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        if not _vanishes_all_classes(reduced, t):
+            return False
+    return True
+
+
+@st.composite
+def sparse_maps(draw):
+    """(terms, s) with s up to 2*10^4 and exponents in [0, s): a few random
+    terms, on top of a sum of whole cosets {e + j*s/p : j < p} for primes
+    p | s, each of which vanishes at a primitive s-th root of unity."""
+    s = draw(st.one_of(st.integers(1, 20000), st.sampled_from((4373, 19997, 8746, 17161))))
+    terms: dict[int, int] = {}
+    for p in draw(st.lists(st.sampled_from(factorize(s).primes or (1,)), max_size=2)):
+        e, c = draw(st.integers(0, s - 1)), draw(st.integers(-2, 2))
+        for j in range(p):
+            r = (e + j * (s // p)) % s
+            terms[r] = terms.get(r, 0) + c
+    for _ in range(draw(st.integers(0, 6))):
+        r = draw(st.integers(0, s - 1))
+        terms[r] = terms.get(r, 0) + draw(st.integers(-3, 3))
+    return {e: c for e, c in terms.items() if c}, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_maps())
+@example(({5: 1}, 19997))
+@example(({5: 1}, 4373))
+@example(({0: 1, 1: -1}, 4373 * 2))
+@example((dict.fromkeys(range(19997), 1), 19997))  # 1 + X + ... vanishes
+@example((dict.fromkeys(range(0, 8746, 2), 1), 8746))  # class 1 of p = 2 is empty
+def test_vanishes_matches_all_classes_kernel(instance):
+    terms, s = instance
+    assert _vanishes(terms, s) == _vanishes_all_classes(terms, s)
+

@@ -329,6 +329,12 @@ def test_progression_factors_examples():
     assert _progression_factors((0, 1, 2, 3)) == ({0: 1}, [(1, 4)])
     assert _progression_factors((0, 1, 4, 5)) == ({0: 1}, [(1, 2), (4, 2)])
     assert _progression_factors((7,)) == ({7: 1}, [])
+    # whole progressions, d = 1 and d > 1, peeled in one step
+    assert _progression_factors(tuple(range(5, 5 + 19781))) == ({5: 1}, [(1, 19781)])
+    assert _progression_factors((3, 10, 17, 24)) == ({3: 1}, [(7, 4)])
+    assert _progression_factors((4, 9)) == ({4: 1}, [(5, 2)])
+    # the span of a progression with first gap 2, but not one
+    assert _progression_factors((0, 2, 3, 6)) == (dict.fromkeys((0, 2, 3, 6), 1), [])
     instance = theorem2_generate(Theorem2Params(7, 11, 13, 2))
     assert _progression_factors(instance.tile.elements) == (
         {0: 1},
@@ -425,6 +431,58 @@ def residue_collision_pairs(draw):
 @example((IntegerSet.of(0, 1), IntegerSet.of(0, 1), 2))  # residue 0 at 0 and 2
 @example((IntegerSet.of(0, 1, 4, 5), IntegerSet.of(0, 2), 8))  # |A| > |B|, tiles
 def test_direct_route_matches_counting(instance):
+    a, b, m = instance
+    assert _direct_route(a, b, m) == _counting_direct_route(a, b, m)
+    assert _direct_route(b, a, m) == _counting_direct_route(b, a, m)
+
+
+@st.composite
+def dense_cutoff_pairs(draw):
+    """Pairs with M up to 2*10^4 on both sides of the dense residue-mask
+    cutoff (|large| >= 64 and |large| * 64 >= M): translated intervals,
+    among them copies of Z_M and runs of M + 1 that cover a residue twice;
+    random elements up to 4M whose residues may collide; and |A||B| = M
+    pairs {0..k-1} + {0, k, ...}, lifted, that tile or have one repeated
+    residue in either set, so that the popcount certificate both holds and
+    falls back."""
+    rng = draw(st.randoms(use_true_random=False))
+    m = draw(st.integers(1, 20000))
+    kind = draw(st.sampled_from(("interval", "random", "matched")))
+    if kind == "interval":
+        n = draw(st.sampled_from((m, m + 1, max(1, m // 64), max(1, m // 2))))
+        t = rng.randrange(2 * m)
+        a = range(t, t + n)
+        b = rng.sample(range(3 * m), rng.randint(1, min(3, 3 * m)))
+    elif kind == "random":
+        n = draw(st.sampled_from((m // 64 - 1, m // 64, m // 64 + 1, 63, 64)))
+        a = rng.sample(range(4 * m), min(max(1, n), 4 * m))
+        b = rng.sample(range(4 * m), rng.randint(1, min(4, 4 * m)))
+    else:
+        k = rng.choice(divisors(m))
+        a = [rng.randrange(3) * m + i for i in range(k)]
+        b = [rng.randrange(3) * m + j * k for j in range(m // k)]
+        repeated = draw(st.sampled_from((None, a, b)))
+        if repeated is not None and len(repeated) >= 2:
+            repeated[0] = repeated[1] + 3 * m  # above every other element
+        ta, tb = rng.randrange(m), rng.randrange(m)
+        a, b = [x + ta for x in a], [x + tb for x in b]
+    return IntegerSet.from_iterable(a), IntegerSet.from_iterable(b), m
+
+
+M_LARGE = 19781  # prime
+Z_M_COPY = IntegerSet(range(777, 777 + M_LARGE))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_cutoff_pairs())
+@example((IntegerSet.of(0, 1), IntegerSet.of(0, 3), 4))  # disjoint in [0, 2M), not mod M
+@example((Z_M_COPY, IntegerSet.of(5), M_LARGE))  # a translate of Z_M, tiles
+@example((Z_M_COPY, IntegerSet.of(5, 5 + M_LARGE), M_LARGE))  # Z_M twice
+@example((IntegerSet(range(M_LARGE - 1)), IntegerSet.of(0), M_LARGE))  # one short
+@example(  # |A||B| = M, a residue repeated in the larger set
+    (IntegerSet([*range(5999), 5998 + 12000]), IntegerSet.of(0, 6000), 12000)
+)
+def test_direct_route_matches_counting_across_dense_cutoff(instance):
     a, b, m = instance
     assert _direct_route(a, b, m) == _counting_direct_route(a, b, m)
     assert _direct_route(b, a, m) == _counting_direct_route(b, a, m)
