@@ -6,6 +6,11 @@ enumeration cap (2D)^d, with D the diameter and d the number of distinct
 primes of |A|, makes a negative answer a theorem rather than a timeout:
 any tiling admits one whose period has the same prime factors as |A|, and
 such a least period cannot exceed the cap.
+
+ordered_map is the one place that runs work on a process pool. With one
+job it is map(fn, items); with more it keeps a bounded window of chunked
+tasks in flight and yields results in input order, so the period search
+and the CLI corpus print the same stream at any worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import heapq
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator
 
 from .faults import WitnessViolationError
@@ -139,18 +145,18 @@ def find_complement(
 def restricted_candidates(size: int, cap: int) -> Iterator[int]:
     """Multiples of size with prime set equal to that of size, ascending, <= cap.
 
-    Generated as a min-heap stream of products of the primes of size, so
-    candidates come out sorted without materializing a range.
+    These are exactly size times the products of its primes, generated as
+    a min-heap stream seeded with size, so candidates come out sorted
+    without materializing a range.
     """
     primes = factorize(size).primes
-    heap = [1]
-    seen = {1}
+    heap = [size]
+    seen = {size}
     while heap:
         v = heapq.heappop(heap)
         if v > cap:
             return
-        if v % size == 0:
-            yield v
+        yield v
         for p in primes:
             w = v * p
             if w <= cap and w not in seen:
@@ -177,6 +183,38 @@ def worker_count(jobs: int) -> int:
         return 1  # os.cpu_count() costs ~10% of a small serial search
     cpus = os.cpu_count() or 1
     return min(jobs, cpus) if jobs else cpus
+
+
+def _map_chunk(fn, chunk: list) -> list:
+    return [fn(item) for item in chunk]
+
+
+def ordered_map(fn, items, jobs: int, chunksize: int) -> Iterator:
+    """fn over items, yielding results in input order.
+
+    One job is map(fn, items). More run chunksize items per task on a
+    process pool with at most 2 * jobs tasks in flight, and cancel the
+    tasks not yet started when the stream is closed.
+    """
+    if jobs == 1:
+        yield from map(fn, items)
+        return
+    # imported here: serial runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    items = iter(items)
+    pending: deque = deque()
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        try:
+            while chunk := list(islice(items, chunksize)):
+                pending.append(pool.submit(_map_chunk, fn, chunk))
+                if len(pending) == 2 * jobs:
+                    yield from pending.popleft().result()
+            while pending:
+                yield from pending.popleft().result()
+        finally:
+            for fut in pending:
+                fut.cancel()
 
 
 def _probe(args: tuple[tuple[int, ...], int, int | None]) -> tuple[int, str, tuple | None]:
@@ -216,8 +254,7 @@ def minimal_tiling_period(
     else:
         candidates = unrestricted_candidates(len(tile), cap)
     probes = ((tile.elements, m, config.node_budget) for m in candidates)
-    jobs = worker_count(config.parallelism)
-    outcomes = _probe_parallel(probes, jobs) if jobs > 1 else map(_probe, probes)
+    outcomes = ordered_map(_probe, probes, worker_count(config.parallelism), 1)
 
     explored: list[tuple[int, str]] = []
     for modulus, outcome, complement in outcomes:
@@ -231,31 +268,6 @@ def minimal_tiling_period(
             return PeriodResult("inconclusive", None, None, cap, tuple(explored))
     status = "does_not_tile" if proof_complete else "inconclusive"
     return PeriodResult(status, None, None, cap, tuple(explored))
-
-
-def _probe_parallel(probes, jobs):
-    """Run probes on a process pool, yielding results in probe order.
-
-    At most 2 * jobs probes are drawn ahead, and results are consumed
-    strictly in submission order, so the stream the caller sees is the one
-    a serial scan would produce.
-    """
-    # imported here: serial runs never load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    window = 2 * jobs
-    pending: deque = deque()
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        try:
-            for args in probes:
-                pending.append(pool.submit(_probe, args))
-                if len(pending) == window:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for fut in pending:
-                fut.cancel()
 
 
 def top_power_witnesses(tiling: CyclicTiling) -> list[tuple[int, int, int]]:

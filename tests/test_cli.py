@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from inttiles import cli
 from inttiles.faults import InconsistentRoutesError
 from inttiles.schemas import CORPUS_RECORD, ENVELOPE, PAYLOAD_SCHEMAS
+from inttiles.search import worker_count
 
 
 def run_cli(*argv):
@@ -327,6 +328,32 @@ def test_corpus_jobs_auto():
     assert code == 0
     _, serial, _ = run_cli("corpus", "--max-diameter", "3", "--jobs", "1")
     assert out == serial
+
+
+def test_parallel_corpus_draws_within_window(monkeypatch):
+    # at most 2 * workers tasks of 16 sets are in flight before the first line
+    drawn = [0]
+    real = cli._corpus_sets
+
+    def counting(max_diameter):
+        for elements in real(max_diameter):
+            drawn[0] += 1
+            yield elements
+
+    monkeypatch.setattr(cli, "_corpus_sets", counting)
+    drawn_at_first_write = []
+
+    class Out(io.StringIO):
+        def write(self, text):
+            if not drawn_at_first_write:
+                drawn_at_first_write.append(drawn[0])
+            return super().write(text)
+
+    out = Out()
+    code = cli.main(["corpus", "--max-diameter", "10", "--jobs", "2"], out=out, err=io.StringIO())
+    assert code == 0
+    assert drawn_at_first_write[0] <= 2 * worker_count(2) * 16
+    assert drawn == [1024] and out.getvalue().count("\n") == 1024
 
 
 def test_min_period_parallel_jobs():
@@ -686,15 +713,43 @@ def test_argv_fuzz(run, tmp_path_factory):
 # --- import cost -----------------------------------------------------------------
 
 
+def _subprocess_env():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_cli_import_leaves_out_process_pools():
     # serial runs never start a pool; importing one pulls in multiprocessing
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = (
         "import sys, inttiles.cli; "
         "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True,
+        check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+# --- closed stdout ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "box", "--powers", "2^16"],
+        ["corpus", "--max-diameter", "10", "--jobs", "1"],
+        ["corpus", "--max-diameter", "10", "--jobs", "2"],
+    ],
+)
+def test_closed_stdout_ends_quietly(argv):
+    # like `inttiles ... | head -c 10`: each run writes far more than a pipe
+    # buffer holds, so it is still writing when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from inttiles.cli import entrypoint; entrypoint()", *argv],
+        env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")

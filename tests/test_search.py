@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import os
 
@@ -5,13 +6,14 @@ import pytest
 
 from conftest import enumerate_normalized_sets
 from inttiles import search
-from inttiles.polyring import cyclotomic_divides
+from inttiles.polyring import cyclotomic_divides, factorize
 from inttiles.search import (
     NodeBudgetExceeded,
     SearchConfig,
     default_cap,
     find_complement,
     minimal_tiling_period,
+    ordered_map,
     restricted_candidates,
     period_bound_check,
     top_power_witnesses,
@@ -149,6 +151,32 @@ def test_restricted_candidates():
     assert list(restricted_candidates(1, 5)) == [1]
     assert list(restricted_candidates(1, 0)) == []
     assert list(restricted_candidates(3, 6)) == [3]  # 6 brings in the prime 2
+
+
+def _restricted_candidates_by_filter(size, cap):
+    """The generator before it seeded its heap with size: every product of
+    the primes of size, from 1 up, kept when size divides it."""
+    primes = factorize(size).primes
+    heap = [1]
+    seen = {1}
+    while heap:
+        v = heapq.heappop(heap)
+        if v > cap:
+            return
+        if v % size == 0:
+            yield v
+        for p in primes:
+            w = v * p
+            if w <= cap and w not in seen:
+                seen.add(w)
+                heapq.heappush(heap, w)
+
+
+def test_restricted_candidates_match_filtered_products():
+    for size in range(1, 301):
+        for cap in (0, 1, size - 1, size, 97, 10**3, 10**5):
+            expected = list(_restricted_candidates_by_filter(size, cap))
+            assert list(restricted_candidates(size, cap)) == expected, (size, cap)
 
 
 def test_unrestricted_candidates():
@@ -308,6 +336,12 @@ def test_parallel_period_search_draws_within_window(monkeypatch):
     result = minimal_tiling_period(IntegerSet.of(0, 1), config)
     assert (result.status, result.period) == ("tiles", 2)
     assert 1 <= drawn[0] <= limit
+
+
+def test_ordered_map_keeps_input_order():
+    # 9 chunks of 3: more than the window of 2 * 2 tasks, and a short last one
+    got = list(ordered_map(str, iter(range(25)), 2, 3))
+    assert got == [str(i) for i in range(25)]
 
 
 def test_search_config_validation():
