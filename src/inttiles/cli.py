@@ -78,9 +78,17 @@ def _int_array(value, what: str) -> list[int]:
     return value
 
 
+def _read_json(path: str):
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        # the decoder recurses once per level of nesting
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_set(path: str) -> IntegerSet:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return IntegerSet.from_iterable(_int_array(data, path))
+    return IntegerSet.from_iterable(_int_array(_read_json(path), path))
 
 
 def _parse_fraction(text: str | None, what: str) -> Fraction | None:
@@ -201,9 +209,12 @@ def _run_check_tiling(args):
     if args.input:
         if args.tile or args.complement or args.modulus is not None:
             raise ValueError("--input excludes --tile/--complement/--modulus")
-        data = json.loads(Path(args.input).read_text(encoding="utf-8"))
+        data = _read_json(args.input)
         if not isinstance(data, dict):
             raise ValueError(f"{args.input}: expected a JSON object")
+        for key in ("tile", "complement", "modulus"):
+            if key not in data:
+                raise ValueError(f"{args.input}: missing key {key!r}")
         tile = IntegerSet.from_iterable(_int_array(data["tile"], "tile"))
         complement = IntegerSet.from_iterable(_int_array(data["complement"], "complement"))
         modulus = data["modulus"]

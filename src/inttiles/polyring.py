@@ -33,10 +33,6 @@ class IntPolynomial:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @staticmethod
-    def zero() -> "IntPolynomial":
-        return IntPolynomial()
-
-    @staticmethod
     def one() -> "IntPolynomial":
         return IntPolynomial((1,))
 
@@ -103,21 +99,6 @@ class IntPolynomial:
                 out[i + j] += a * b
         return IntPolynomial(out)
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for e, c in self.terms():
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "X" if e == 1 else f"X^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            parts.append(("- " if c < 0 else "+ ") + body if parts else
-                         ("-" if c < 0 else "") + body)
-        return " ".join(parts)
-
 
 @dataclass(frozen=True)
 class Factorization:
@@ -183,17 +164,13 @@ def factorize(n: int) -> Factorization:
     if n < 1:
         raise ValueError("n must be positive")
     pairs = []
-    d = 2
-    while d * d <= n:
+    while n > 1:
+        p = smallest_prime_factor(n)
         e = 0
-        while n % d == 0:
+        while n % p == 0:
             e += 1
-            n //= d
-        if e:
-            pairs.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        pairs.append((n, 1))
+            n //= p
+        pairs.append((p, e))
     return Factorization(tuple(pairs))
 
 

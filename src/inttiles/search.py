@@ -15,6 +15,7 @@ and the CLI corpus print the same stream at any worker count.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import os
 from collections import deque
@@ -217,18 +218,16 @@ def ordered_map(fn, items, jobs: int, chunksize: int) -> Iterator:
                 fut.cancel()
 
 
-def _probe(args: tuple[tuple[int, ...], int, int | None]) -> tuple[int, str, tuple | None]:
-    elements, modulus, node_budget = args
-    tile = IntegerSet(elements)
-    if len({x % modulus for x in elements}) != len(elements):
+def _probe(
+    tile: IntegerSet, node_budget: int | None, modulus: int
+) -> tuple[int, str, IntegerSet | None]:
+    if len({x % modulus for x in tile.elements}) != len(tile):
         return modulus, "not_injective", None
     try:
         found = find_complement(tile, modulus, node_budget)
     except NodeBudgetExceeded:
         return modulus, "budget_exhausted", None
-    if found is None:
-        return modulus, "refuted", None
-    return modulus, "tiles", found.elements
+    return modulus, "refuted" if found is None else "tiles", found
 
 
 def minimal_tiling_period(
@@ -253,17 +252,14 @@ def minimal_tiling_period(
         candidates = restricted_candidates(len(tile), cap)
     else:
         candidates = unrestricted_candidates(len(tile), cap)
-    probes = ((tile.elements, m, config.node_budget) for m in candidates)
-    outcomes = ordered_map(_probe, probes, worker_count(config.parallelism), 1)
+    probe = functools.partial(_probe, tile, config.node_budget)
+    outcomes = ordered_map(probe, candidates, worker_count(config.parallelism), 1)
 
     explored: list[tuple[int, str]] = []
     for modulus, outcome, complement in outcomes:
         explored.append((modulus, outcome))
         if outcome == "tiles":
-            assert complement is not None
-            return PeriodResult(
-                "tiles", modulus, IntegerSet(complement), cap, tuple(explored)
-            )
+            return PeriodResult("tiles", modulus, complement, cap, tuple(explored))
         if outcome == "budget_exhausted":
             return PeriodResult("inconclusive", None, None, cap, tuple(explored))
     status = "does_not_tile" if proof_complete else "inconclusive"

@@ -60,13 +60,16 @@ class IntegerSet:
         elems = tuple(elements)
         if not elems:
             raise ValueError("set must be nonempty")
-        prev = -1
+        prev = elems[0] - 1
         for x in elems:
-            if x < 0:
-                raise ValueError("elements must be nonnegative")
             if x <= prev:
+                if x == prev:
+                    raise ValueError(f"duplicate element {x}")
                 raise ValueError("elements must be strictly increasing")
             prev = x
+        # strictly increasing, so the first element is the least
+        if elems[0] < 0:
+            raise ValueError("elements must be nonnegative")
         object.__setattr__(self, "elements", elems)
 
     @staticmethod
@@ -76,11 +79,7 @@ class IntegerSet:
     @staticmethod
     def from_iterable(elements: Iterable[int]) -> "IntegerSet":
         """Build from any iterable; duplicates are rejected, order ignored."""
-        elems = sorted(elements)
-        for a, b in zip(elems, elems[1:]):
-            if a == b:
-                raise ValueError(f"duplicate element {a}")
-        return IntegerSet(elems)
+        return IntegerSet(sorted(elements))
 
     def __len__(self) -> int:
         return len(self.elements)

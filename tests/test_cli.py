@@ -539,6 +539,11 @@ REFUSED = [
         {"tile": [0, 1], "complement": [0, 2], "modulus": True},
         id="check-tiling-bool-modulus",
     ),
+] + [
+    # raw text, which json.dumps cannot write: the decoder hits the
+    # recursion limit
+    pytest.param((sub,), "[" * 100000 + "]" * 100000, id=f"{sub}-nested")
+    for sub in ("analyze", "min-period", "check-tiling")
 ]
 
 
@@ -552,7 +557,7 @@ def test_refused_inputs_exit_2_at_once(argv, document, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, name, forbidden)
     if document is not None:
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(document))
+        path.write_text(document if type(document) is str else json.dumps(document))
         argv = (*argv, "--input", str(path))
     started = time.perf_counter()
     code, out, err = run_cli(*argv)
@@ -560,6 +565,17 @@ def test_refused_inputs_exit_2_at_once(argv, document, tmp_path, monkeypatch):
     assert code == 2, err
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["tile", "complement", "modulus"])
+def test_check_tiling_input_names_missing_key(key, tmp_path):
+    document = {"tile": [0, 1], "complement": [0, 2], "modulus": 4}
+    del document[key]
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli("check-tiling", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: missing key '{key}'\n"
 
 
 # --- argv fuzz -------------------------------------------------------------------

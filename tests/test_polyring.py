@@ -211,6 +211,32 @@ def test_factorize_roundtrip():
         assert list(fac.primes) == sorted(fac.primes)
 
 
+def _factorize_by_loop(n: int) -> tuple[tuple[int, int], ...]:
+    # the reference: factorize's own trial-division loop before it called
+    # smallest_prime_factor
+    pairs = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            e += 1
+            n //= d
+        if e:
+            pairs.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        pairs.append((n, 1))
+    return tuple(pairs)
+
+
+def test_factorize_matches_trial_division_loop():
+    for n in range(1, 10**5 + 1):
+        assert factorize(n).pairs == _factorize_by_loop(n), n
+    for n in (2**40, 3**25, 999983 * 1000003, 10**12 + 39):
+        assert factorize(n).pairs == _factorize_by_loop(n), n
+    assert factorize(10**12 + 39).pairs == ((10**12 + 39, 1),)
+
+
 def test_factorization_validates():
     with pytest.raises(ValueError):
         Factorization(((4, 1),))  # not prime

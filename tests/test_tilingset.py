@@ -32,16 +32,22 @@ from inttiles.tilingset import (
 
 
 def test_integer_set_validation():
-    with pytest.raises(ValueError):
-        IntegerSet(())
-    with pytest.raises(ValueError):
-        IntegerSet((-1, 2))
-    with pytest.raises(ValueError):
-        IntegerSet((2, 1))
-    with pytest.raises(ValueError):
-        IntegerSet((1, 1))
-    with pytest.raises(ValueError):
-        IntegerSet.from_iterable([3, 3])
+    for elements, message in [
+        ((), "set must be nonempty"),
+        ((-1, 2), "elements must be nonnegative"),
+        ((-3,), "elements must be nonnegative"),
+        ((2, 1), "elements must be strictly increasing"),
+        ((1, 1), "duplicate element 1"),
+        ((0, 4, 4, 9), "duplicate element 4"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            IntegerSet(elements)
+        if "increasing" not in message:  # from_iterable sorts first
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                IntegerSet.from_iterable(reversed(elements))
+    # in sorted input a duplicate is reported before a negative element
+    with pytest.raises(ValueError, match="^duplicate element -1$"):
+        IntegerSet.from_iterable([-1, 5, -1])
 
 
 def test_integer_set_basics():
