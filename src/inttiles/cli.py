@@ -370,7 +370,7 @@ def main(argv=None, out=None, err=None) -> int:
     except InternalFaultError as exc:
         print(f"internal-consistency fault: {exc}", file=err)
         return 4
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     except Exception as exc:

@@ -459,6 +459,19 @@ def test_internal_fault_exit_code(monkeypatch):
     assert out == ""
 
 
+def test_library_key_error_is_internal_fault(monkeypatch):
+    # check-tiling --input checks its own keys, so a KeyError from the
+    # library is a bug, not bad input
+    def explode(args):
+        raise KeyError("x")
+
+    monkeypatch.setitem(cli._HANDLERS, "analyze", explode)
+    code, out, err = run_cli("analyze", "--set", "0,1")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: KeyError: 'x'\n"
+
+
 def test_unexpected_exception_is_one_line_exit_4(monkeypatch):
     # an exception no handler expects is reported in one line, not a traceback
     def explode(args):

@@ -488,6 +488,13 @@ Z_M_COPY = IntegerSet(range(777, 777 + M_LARGE))
 @example(  # |A||B| = M, a residue repeated in the larger set
     (IntegerSet([*range(5999), 5998 + 12000]), IntegerSet.of(0, 6000), 12000)
 )
+# 64 elements at the dense cutoff M = 64 * 64 (the bytearray scatter) and
+# one past it (the bit loop), all residues distinct or one repeated, which
+# makes the dense branch fall back to the bit loop
+@example((IntegerSet(range(0, 4096, 64)), IntegerSet(range(64)), 4096))  # tiles
+@example((IntegerSet([*range(0, 4032, 64), 4096]), IntegerSet(range(64)), 4096))
+@example((IntegerSet(range(0, 4096, 64)), IntegerSet(range(64)), 4097))
+@example((IntegerSet([*range(0, 4032, 64), 4097]), IntegerSet(range(64)), 4097))
 def test_direct_route_matches_counting_across_dense_cutoff(instance):
     a, b, m = instance
     assert _direct_route(a, b, m) == _counting_direct_route(a, b, m)
