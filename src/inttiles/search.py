@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import heapq
 import os
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -85,15 +86,20 @@ class PeriodResult:
 def find_complement(
     tile: IntegerSet, modulus: int, node_budget: int | None = None
 ) -> IntegerSet | None:
-    """A complement B containing 0 with tile + B = Z_modulus, or None.
+    """A complement B with tile + B = Z_modulus, or None.
 
     Complete backtracking over residue coverage: the smallest uncovered
-    residue t must be covered by some translate b with t - b in tile
+    residue t must be covered by some translate t - a with a in tile
     (mod modulus), so each node branches over at most |tile| candidate
     translates, tried in increasing order. The first solution in this
     order is returned, making the result deterministic; None comes with an
-    exhaustive-search guarantee. Placements are bitmask operations on
-    Python ints, which keeps the search fast for moduli in the hundreds.
+    exhaustive-search guarantee. B contains 0 when some element of the
+    tile is 0 mod modulus, as in every normalized tile.
+
+    Coverage is one modulus-bit mask held relative to t (bit j is residue
+    t + j), so translate t - a covers the tile rotated down by a at every
+    node. The search keeps at most |tile| + 1 such masks, one per tried
+    element and the coverage, plus (a, t) and an iterator per level.
     """
     k = len(tile)
     if modulus % k:
@@ -105,42 +111,48 @@ def find_complement(
     base = 0
     for x in reduced:
         base |= 1 << x
-    masks: dict[int, int] = {0: base}
+    masks: dict[int, int] = {}  # element a -> base rotated down by a
+    descending = reduced[::-1]
 
     # Depth-first search on an explicit stack, so the depth M/|A| is not
-    # bound by the recursion limit. The current level's coverage and
-    # untried translates live in locals; the stack holds each parent
-    # level's, and chosen[i] is level i's current translate.
+    # bound by the recursion limit. The current level's t, coverage and
+    # untried elements live in locals; the stack holds each parent level's
+    # placed element, t and untried elements. Translates t - a increase as
+    # a falls through the elements <= t, then through those > t.
     target = modulus // k
-    chosen: list[int] = []
-    stack: list[tuple[int, Iterator[int]]] = []
-    covered = 0
-    untried = iter(sorted(-a % modulus for a in reduced))  # t = 0
+    stack: list[tuple[int, int, Iterator[int]]] = []
+    covered = t = 0
+    split = k - bisect_right(reduced, t)
+    untried = iter(descending[split:] + descending[:split])
     nodes = 0
     while True:
-        for b in untried:
+        for a in untried:
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 raise NodeBudgetExceeded(f"exceeded {node_budget} nodes at M={modulus}")
-            m = masks.get(b)
+            m = masks.get(a)
             if m is None:
-                m = masks[b] = ((base << b) | (base >> (modulus - b))) & full
+                m = masks[a] = ((base >> a) | (base << (modulus - a))) & full
             if not covered & m:
                 break
         else:
             if not stack:
                 return None
-            covered, untried = stack.pop()
-            chosen.pop()
+            a, parent_t, untried = stack.pop()
+            step = t - parent_t
+            covered = ((covered << step) | (covered >> (modulus - step))) & full
+            covered ^= masks[a]
+            t = parent_t
             continue
-        chosen.append(b)
-        if len(chosen) == target:
-            return IntegerSet(sorted(chosen))
-        stack.append((covered, untried))
+        stack.append((a, t, untried))
+        if len(stack) == target:
+            return IntegerSet(sorted((t - a) % modulus for a, t, _ in stack))
         covered |= m
-        uncovered = ~covered & full
-        t = (uncovered & -uncovered).bit_length() - 1
-        untried = iter(sorted((t - a) % modulus for a in reduced))
+        step = (~covered & (covered + 1)).bit_length() - 1  # the next gap
+        covered = ((covered >> step) | (covered << (modulus - step))) & full
+        t += step
+        split = k - bisect_right(reduced, t)
+        untried = iter(descending[split:] + descending[:split])
 
 
 def restricted_candidates(size: int, cap: int) -> Iterator[int]:

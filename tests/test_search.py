@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import os
+import tracemalloc
 
 import pytest
 
@@ -30,6 +31,8 @@ def test_find_complement_examples():
     assert find_complement(IntegerSet.of(0, 1), 4).elements == (0, 2)
     assert find_complement(IntegerSet.of(0, 1, 4, 5), 8).elements == (0, 2)
     assert find_complement(IntegerSet.of(0, 1, 3), 6) is None
+    # no element is 0 mod 4, so the complement need not contain 0
+    assert find_complement(IntegerSet.of(2, 3), 4).elements == (1, 3)
 
 
 def test_find_complement_contains_zero_and_tiles():
@@ -89,17 +92,43 @@ def _recursive_find_complement(elems, m):
 
 def test_find_complement_matches_recursive_search():
     # same complement and same node count (the budget at which the search
-    # first completes) on every candidate modulus of every set within {0..8}
-    for tile in enumerate_normalized_sets(8):
-        for m in restricted_candidates(len(tile), default_cap(tile)):
-            if len({x % m for x in tile.elements}) != len(tile):
+    # first completes) on every candidate modulus of every set within {0..8},
+    # as given and translated by 1 and by 3, so that the root need not hold
+    # residue 0 and the candidate order wraps past the modulus
+    for normalized in enumerate_normalized_sets(8):
+        for m in restricted_candidates(len(normalized), default_cap(normalized)):
+            if len({x % m for x in normalized.elements}) != len(normalized):
                 continue
-            expected, nodes = _recursive_find_complement(tile.elements, m)
-            found = find_complement(tile, m, node_budget=nodes)
-            assert (found.elements if found else None) == expected
-            if nodes > 1:
-                with pytest.raises(NodeBudgetExceeded):
-                    find_complement(tile, m, node_budget=nodes - 1)
+            for shift in (0, 1, 3):
+                tile = normalized.translate(shift)
+                expected, nodes = _recursive_find_complement(tile.elements, m)
+                found = find_complement(tile, m, node_budget=nodes)
+                assert (found.elements if found else None) == expected
+                if nodes > 1:
+                    with pytest.raises(NodeBudgetExceeded):
+                        find_complement(tile, m, node_budget=nodes - 1)
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_find_complement_memory_is_linear_in_modulus():
+    # {0, 2^13} at M = 2^14 places 2^13 translates: a mask per translate or
+    # a coverage copy per level would hold about 2^13 masks of 2^14 bits
+    found, peak = _peak_mib(lambda: find_complement(IntegerSet.of(0, 2**13), 2**14))
+    assert found.elements == tuple(range(2**13))
+    assert peak < 8
+    # masks are built per element on first use, not for every element up
+    # front: the interval places translate 0 and stops
+    found, peak = _peak_mib(lambda: find_complement(IntegerSet(range(2**13)), 2**13))
+    assert found.elements == (0,)
+    assert peak < 4
 
 
 def _oracle_has_complement(elems, m):
