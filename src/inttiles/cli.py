@@ -31,7 +31,13 @@ from .constructions import (
 )
 from .faults import InternalFaultError
 from .schemas import SCHEMA_VERSION
-from .search import SearchConfig, minimal_tiling_period, ordered_map, worker_count
+from .search import (
+    ELEMENT_SAFETY_LIMIT,
+    SearchConfig,
+    minimal_tiling_period,
+    ordered_map,
+    worker_count,
+)
 from .tilingset import IntegerSet, is_tiling, json_fields
 
 CORPUS_SAFETY_LIMIT = 14
@@ -39,10 +45,6 @@ CORPUS_SAFETY_LIMIT = 14
 # at M = 1,002,001 on a near miss; 0.65 on a tiling), so this limit keeps one
 # run within a few hundred MB
 MODULUS_SAFETY_LIMIT = 10**8
-# construct box and counterexample build one list element per residue or
-# pair; construct box --powers 2^20 took 0.34 s and 99 MB peak RSS
-# (Python 3.11, 2 CPUs)
-ELEMENT_SAFETY_LIMIT = 2**20
 JOBS_ENV_VAR = "INTTILES_JOBS"
 JOBS_HELP = "worker processes (0 = one per CPU, never more than the CPU count)"
 

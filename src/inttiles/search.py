@@ -7,6 +7,20 @@ primes of |A|, makes a negative answer a theorem rather than a timeout:
 any tiling admits one whose period has the same prime factors as |A|, and
 such a least period cannot exceed the cap.
 
+On a tile that does not tile, most probes refute the same local dead end.
+Let E = max(A) and call a refutation at M local when every smallest
+uncovered residue t the search reached has t + 2E < M. A translate t - a
+with a <= t covers residues in [0, t + E]; one with a > t wraps and covers
+[M - E, M) and [0, t + E]. Below the margin the two regions never meet, so
+at any larger multiple M' of |A|, moving each residue r >= M - E to
+r + M' - M maps the search onto itself: the same tries in the same order,
+the same collisions and the same node count, and it still never places
+M'/|A| translates. So every larger candidate is refuted, within any node
+budget that this one met, and the period search lists them without
+searching. The margin is tight: with t + 2E - 1 < M, {0, 3, 4, 5, 8} refutes
+in 60 nodes at M = 20 but in 65 at M = 25. This is the window-state
+argument behind Newman's 2^D period bound (J. Number Theory 9, 1977).
+
 ordered_map is the one place that runs work on a process pool. With one
 job it is map(fn, items); with more it keeps a bounded window of chunked
 tasks in flight and yields results in input order, so the period search
@@ -15,18 +29,25 @@ and the CLI corpus print the same stream at any worker count.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import heapq
 import os
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import dropwhile, islice
 from typing import Iterator
 
 from .faults import WitnessViolationError
 from .polyring import cyclotomic_divides, factorize
 from .tilingset import CyclicTiling, IntegerSet, json_fields, least_period
+
+# The most entries one call may list: construct box and counterexample build
+# one per residue or pair (construct box --powers 2^20 took 0.34 s and 99 MB
+# peak RSS, Python 3.11, 2 CPUs), and a local refutation lists one explored
+# entry per remaining candidate.
+ELEMENT_SAFETY_LIMIT = 2**20
 
 
 class NodeBudgetExceeded(Exception):
@@ -42,8 +63,10 @@ class SearchConfig:
     tiling); "unrestricted" enumerates every multiple of |A| up to the cap
     and exists as an oracle for the restricted mode. Either way candidates
     are generated lazily as the search probes them, so a large cap costs
-    nothing until it is reached. parallelism is read by worker_count: 0
-    means one worker per CPU, and no search gets more workers than CPUs.
+    nothing until it is reached, except that a local refutation lists every
+    remaining candidate at once (see minimal_tiling_period). parallelism
+    is read by worker_count: 0 means one worker per CPU, and no search gets
+    more workers than CPUs.
     A max_modulus_override below the default cap downgrades a negative
     answer to inconclusive.
     """
@@ -100,13 +123,29 @@ def find_complement(
     t + j), so translate t - a covers the tile rotated down by a at every
     node. The search keeps at most |tile| + 1 such masks, one per tried
     element and the coverage, plus (a, t) and an iterator per level.
+
+    A refutation is local when every t the search reached has
+    t + 2 max(tile) < modulus. Then None, with the same node count, is also
+    the answer at every larger multiple of |tile|, so a node budget stops
+    those searches exactly when it stops this one. The module docstring
+    gives the proof and shows that a margin of 2 max(tile) - 1 is too small.
+    """
+    return _find_complement(tile, modulus, node_budget)[0]
+
+
+def _find_complement(
+    tile: IntegerSet, modulus: int, node_budget: int | None
+) -> tuple[IntegerSet | None, int]:
+    """find_complement's search, also returning the largest t it reached.
+
+    The quick rejections report modulus as that t, so they are never local.
     """
     k = len(tile)
     if modulus % k:
-        return None
+        return None, modulus
     reduced = sorted({x % modulus for x in tile.elements})
     if len(reduced) != k:
-        return None  # not injective mod modulus: some residue would double up
+        return None, modulus  # not injective mod modulus: some residue would double up
     full = (1 << modulus) - 1
     base = 0
     for x in reduced:
@@ -121,7 +160,7 @@ def find_complement(
     # a falls through the elements <= t, then through those > t.
     target = modulus // k
     stack: list[tuple[int, int, Iterator[int]]] = []
-    covered = t = 0
+    covered = t = reach = 0
     split = k - bisect_right(reduced, t)
     untried = iter(descending[split:] + descending[:split])
     nodes = 0
@@ -137,7 +176,7 @@ def find_complement(
                 break
         else:
             if not stack:
-                return None
+                return None, reach
             a, parent_t, untried = stack.pop()
             step = t - parent_t
             covered = ((covered << step) | (covered >> (modulus - step))) & full
@@ -146,11 +185,13 @@ def find_complement(
             continue
         stack.append((a, t, untried))
         if len(stack) == target:
-            return IntegerSet(sorted((t - a) % modulus for a, t, _ in stack))
+            return IntegerSet(sorted((t - a) % modulus for a, t, _ in stack)), reach
         covered |= m
         step = (~covered & (covered + 1)).bit_length() - 1  # the next gap
         covered = ((covered >> step) | (covered << (modulus - step))) & full
         t += step
+        if t > reach:
+            reach = t
         split = k - bisect_right(reduced, t)
         untried = iter(descending[split:] + descending[:split])
 
@@ -232,14 +273,17 @@ def ordered_map(fn, items, jobs: int, chunksize: int) -> Iterator:
 
 def _probe(
     tile: IntegerSet, node_budget: int | None, modulus: int
-) -> tuple[int, str, IntegerSet | None]:
+) -> tuple[int, str, IntegerSet | None, bool]:
+    """A candidate's outcome and complement, and whether a refutation is local."""
     if len({x % modulus for x in tile.elements}) != len(tile):
-        return modulus, "not_injective", None
+        return modulus, "not_injective", None, False
     try:
-        found = find_complement(tile, modulus, node_budget)
+        found, reach = _find_complement(tile, modulus, node_budget)
     except NodeBudgetExceeded:
-        return modulus, "budget_exhausted", None
-    return modulus, "refuted" if found is None else "tiles", found
+        return modulus, "budget_exhausted", None, False
+    if found is None:
+        return modulus, "refuted", None, reach + 2 * tile.elements[-1] < modulus
+    return modulus, "tiles", found, False
 
 
 def minimal_tiling_period(
@@ -254,6 +298,10 @@ def minimal_tiling_period(
     only ever yields "inconclusive" in the negative case. Results do not
     depend on the parallelism level: workers probe candidate moduli
     speculatively but outcomes are consumed in candidate order.
+
+    After the first local refutation (see find_complement) every remaining
+    candidate is listed as refuted without a search. A ValueError is raised
+    instead when more than ELEMENT_SAFETY_LIMIT candidates remain.
     """
     cap = default_cap(tile)
     proof_complete = True
@@ -261,19 +309,35 @@ def minimal_tiling_period(
         proof_complete = config.max_modulus_override >= cap
         cap = config.max_modulus_override
     if config.candidate_mode == "restricted":
-        candidates = restricted_candidates(len(tile), cap)
+        candidates = functools.partial(restricted_candidates, len(tile), cap)
     else:
-        candidates = unrestricted_candidates(len(tile), cap)
+        candidates = functools.partial(unrestricted_candidates, len(tile), cap)
     probe = functools.partial(_probe, tile, config.node_budget)
-    outcomes = ordered_map(probe, candidates, worker_count(config.parallelism), 1)
+    jobs = worker_count(config.parallelism)
 
     explored: list[tuple[int, str]] = []
-    for modulus, outcome, complement in outcomes:
-        explored.append((modulus, outcome))
-        if outcome == "tiles":
-            return PeriodResult("tiles", modulus, complement, cap, tuple(explored))
-        if outcome == "budget_exhausted":
-            return PeriodResult("inconclusive", None, None, cap, tuple(explored))
+    local = False
+    with contextlib.closing(ordered_map(probe, candidates(), jobs, 1)) as outcomes:
+        for modulus, outcome, complement, local in outcomes:
+            explored.append((modulus, outcome))
+            if outcome == "tiles":
+                return PeriodResult("tiles", modulus, complement, cap, tuple(explored))
+            if outcome == "budget_exhausted":
+                return PeriodResult("inconclusive", None, None, cap, tuple(explored))
+            if local:
+                break
+    if local:
+        # a fresh stream: with more than one job the pool drew ahead on the first
+        def later() -> Iterator[int]:
+            return dropwhile(lambda m: m <= modulus, candidates())
+
+        if next(islice(later(), ELEMENT_SAFETY_LIMIT, None), None) is not None:
+            raise ValueError(
+                f"the search refuted M={modulus} locally, which refutes every "
+                f"larger candidate; listing those up to the cap {cap} would take "
+                f"more than {ELEMENT_SAFETY_LIMIT} entries"
+            )
+        explored.extend((m, "refuted") for m in later())
     status = "does_not_tile" if proof_complete else "inconclusive"
     return PeriodResult(status, None, None, cap, tuple(explored))
 

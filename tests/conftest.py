@@ -7,8 +7,12 @@ session keeps the overall runtime down.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
+from inttiles import cli
 from inttiles.cli import _corpus_sets
 from inttiles.search import SearchConfig, minimal_tiling_period
 from inttiles.tilingset import IntegerSet
@@ -17,6 +21,12 @@ from inttiles.tilingset import IntegerSet
 def enumerate_normalized_sets(max_diameter: int):
     """All sets {0} | S, S within {1..max_diameter}, in the CLI corpus order."""
     return map(IntegerSet, _corpus_sets(max_diameter))
+
+
+def subprocess_env():
+    """The environment for a child Python that imports this inttiles."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 @pytest.fixture(scope="session")

@@ -3,17 +3,16 @@ import hashlib
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import subprocess_env
 from inttiles import cli
 from inttiles.faults import InconsistentRoutesError
 from inttiles.schemas import CORPUS_RECORD, ENVELOPE, PAYLOAD_SCHEMAS
@@ -742,11 +741,6 @@ def test_argv_fuzz(run, tmp_path_factory):
 # --- import cost -----------------------------------------------------------------
 
 
-def _subprocess_env():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-
-
 def test_cli_import_leaves_out_process_pools():
     # serial runs never start a pool; importing one pulls in multiprocessing
     probe = (
@@ -754,7 +748,7 @@ def test_cli_import_leaves_out_process_pools():
         "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True,
+        [sys.executable, "-c", probe], env=subprocess_env(), capture_output=True, text=True,
         check=True,
     )
     assert result.stdout.strip() == "[]"
@@ -776,7 +770,7 @@ def test_closed_stdout_ends_quietly(argv):
     # buffer holds, so it is still writing when the reader goes away
     proc = subprocess.Popen(
         [sys.executable, "-c", "from inttiles.cli import entrypoint; entrypoint()", *argv],
-        env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     assert proc.stdout.read(10)
     proc.stdout.close()

@@ -1,15 +1,18 @@
 import heapq
 import itertools
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
-from conftest import enumerate_normalized_sets
+from conftest import enumerate_normalized_sets, subprocess_env
 from inttiles import search
 from inttiles.polyring import cyclotomic_divides, factorize
 from inttiles.search import (
     NodeBudgetExceeded,
+    PeriodResult,
     SearchConfig,
     default_cap,
     find_complement,
@@ -107,6 +110,41 @@ def test_find_complement_matches_recursive_search():
                 if nodes > 1:
                     with pytest.raises(NodeBudgetExceeded):
                         find_complement(tile, m, node_budget=nodes - 1)
+
+
+def test_local_refutation_refutes_every_larger_modulus():
+    # wherever a probe at M flags its refutation as local, every larger
+    # multiple of |A| refutes with exactly the node count n of the search at
+    # M: within a budget of n, and not within n - 1. The range must reach
+    # {0..8}: the margin 2E - 1 first fails at {0, 3, 4, 5, 8}
+    for normalized in enumerate_normalized_sets(8):
+        k = len(normalized)
+        for shift in (0, 2):
+            tile = normalized.translate(shift)
+            for m in range(k, 101, k):
+                if not search._probe(tile, None, m)[3]:
+                    continue
+                _, nodes = _recursive_find_complement(tile.elements, m)
+                for larger in range(m + k, 101, k):
+                    assert find_complement(tile, larger, node_budget=nodes) is None
+                    with pytest.raises(NodeBudgetExceeded):
+                        find_complement(tile, larger, node_budget=nodes - 1)
+
+
+@pytest.mark.parametrize(
+    "elems, m, larger, nodes, larger_nodes",
+    [
+        # a margin of t + E < M would call both refutations local
+        ((0, 1, 3), 6, 9, 12, 15),
+        # and so would a margin of t + 2E - 1 < M
+        ((0, 3, 4, 5, 8), 20, 25, 60, 65),
+    ],
+)
+def test_local_refutation_margin_is_tight(elems, m, larger, nodes, larger_nodes):
+    tile = IntegerSet(elems)
+    assert _recursive_find_complement(elems, m) == (None, nodes)
+    assert _recursive_find_complement(elems, larger) == (None, larger_nodes)
+    assert search._probe(tile, None, m) == (m, "refuted", None, False)
 
 
 def _peak_mib(fn):
@@ -312,6 +350,76 @@ def test_parallel_negative_and_budget_outcomes():
 def test_parallelism_zero_means_auto():
     result = minimal_tiling_period(IntegerSet.of(0, 1, 4, 5), SearchConfig(parallelism=0))
     assert (result.status, result.period) == ("tiles", 8)
+
+
+def _probe_every_candidate(tile, config):
+    """The period search before local refutations: every candidate searched."""
+    cap = default_cap(tile)
+    proof_complete = True
+    if config.max_modulus_override is not None:
+        proof_complete = config.max_modulus_override >= cap
+        cap = config.max_modulus_override
+    if config.candidate_mode == "restricted":
+        candidates = restricted_candidates(len(tile), cap)
+    else:
+        candidates = unrestricted_candidates(len(tile), cap)
+    explored = []
+    for m in candidates:
+        if len({x % m for x in tile.elements}) != len(tile):
+            explored.append((m, "not_injective"))
+            continue
+        try:
+            found = find_complement(tile, m, config.node_budget)
+        except NodeBudgetExceeded:
+            explored.append((m, "budget_exhausted"))
+            return PeriodResult("inconclusive", None, None, cap, tuple(explored))
+        if found is not None:
+            explored.append((m, "tiles"))
+            return PeriodResult("tiles", m, found, cap, tuple(explored))
+        explored.append((m, "refuted"))
+    status = "does_not_tile" if proof_complete else "inconclusive"
+    return PeriodResult(status, None, None, cap, tuple(explored))
+
+
+def test_period_search_matches_probing_every_candidate():
+    configs = [
+        SearchConfig(candidate_mode=mode, max_modulus_override=cap, node_budget=budget)
+        for mode, cap in (("restricted", None), ("unrestricted", 150))
+        for budget in (None, 1, 50, 500)
+    ]
+    for tile in enumerate_normalized_sets(8):
+        for config in configs:
+            assert minimal_tiling_period(tile, config) == _probe_every_candidate(
+                tile, config
+            ), (tile, config)
+
+
+@pytest.mark.parametrize("mode", ["restricted", "unrestricted"])
+def test_parallel_period_search_matches_probing_every_candidate(mode):
+    # the pool draws ahead of a local refutation; the listed rest must not
+    for elems in [(0, 1, 3), (0, 1, 2, 4), (0, 2, 3, 7), (0, 1, 5, 6, 8), (0, 3, 4, 5, 8)]:
+        tile = IntegerSet(elems)
+        for budget in (None, 50):
+            config = SearchConfig(
+                candidate_mode=mode, max_modulus_override=150, node_budget=budget,
+                parallelism=2,
+            )
+            assert minimal_tiling_period(tile, config) == _probe_every_candidate(
+                tile, config
+            ), (tile, config)
+
+
+def test_local_refutation_listing_is_bounded():
+    # {0,1,3} refutes locally at 12, leaving about 3 * 10^11 candidates up to
+    # the cap: a usage error within 2 s, not an unbounded list
+    argv = ["min-period", "--set", "0,1,3", "--mode", "unrestricted", "--cap", str(10**12)]
+    result = subprocess.run(
+        [sys.executable, "-m", "inttiles.cli", *argv],
+        env=subprocess_env(), capture_output=True, text=True, timeout=2,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert len(result.stderr.splitlines()) == 1
+    assert "1048576" in result.stderr and str(10**12) in result.stderr
 
 
 def test_worker_count(monkeypatch):
