@@ -21,6 +21,27 @@ searching. The margin is tight: with t + 2E - 1 < M, {0, 3, 4, 5, 8} refutes
 in 60 nodes at M = 20 but in 65 at M = 25. This is the window-state
 argument behind Newman's 2^D period bound (J. Number Theory 9, 1977).
 
+Without a node budget, a probe at M searches each coset of a subgroup
+once. Let g = gcd(M, *A). Every element of A is a multiple of g, so the
+translate t - a covers only the class of t mod g, and the g cosets of gZ_M
+are tiled independently: A tiles Z_M exactly when A/g tiles Z_{M/g}. This
+is the reduction Coven and Meyerowitz use to assume gcd 1 (J. Algebra 212,
+1999). Write t = g t' + j. Then a <= t exactly when a/g <= t', so the
+search of class j is the search for A/g in Z_{M/g}, shifted by j, trying
+translates in the same order, and the first complement of the full search
+is g B' + {0, ..., g - 1} for the first complement B' of the reduced one.
+The full search interleaves the cosets, so it searches a dead end in one
+again under every partial placement in the others. Its reach is exactly
+g t'_max, for t'_max the reduced search's: it reaches the state that makes
+the same placements in every coset, and its t is the least over the
+classes j of g t'_j + j, at most g t'_0. So t'_max + 2E/g < M/g holds
+exactly when t_max + 2E < M, and the lemma above applies unchanged. One
+case differs: when |A| does not divide M/g the reduced search rejects by
+counting and reaches no t, so it is never local, though the full search
+may be. Every larger candidate still refutes, and the period search
+searches them until one is local, with the same outcomes; only the error
+for too long a listing can name a later M.
+
 ordered_map is the one place that runs work on a process pool. With one
 job it is map(fn, items); with more it keeps a bounded window of chunked
 tasks in flight and yields results in input order, so the period search
@@ -32,7 +53,9 @@ from __future__ import annotations
 import contextlib
 import functools
 import heapq
+import math
 import os
+import sys
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -122,7 +145,13 @@ def find_complement(
     Coverage is one modulus-bit mask held relative to t (bit j is residue
     t + j), so translate t - a covers the tile rotated down by a at every
     node. The search keeps at most |tile| + 1 such masks, one per tried
-    element and the coverage, plus (a, t) and an iterator per level.
+    element and the coverage, at most |tile| + 1 try orders of |tile|
+    indices, one per number of elements above t, and per level the placed
+    index, t and an iterator. Masks and orders are built on first use.
+
+    This is the full search, over every coset of the subgroup the tile
+    generates with modulus; minimal_tiling_period searches one coset
+    instead when it has no node budget (see the module docstring).
 
     A refutation is local when every t the search reached has
     t + 2 max(tile) < modulus. Then None, with the same node count, is also
@@ -130,62 +159,71 @@ def find_complement(
     those searches exactly when it stops this one. The module docstring
     gives the proof and shows that a margin of 2 max(tile) - 1 is too small.
     """
-    return _find_complement(tile, modulus, node_budget)[0]
+    return _find_complement(tile.elements, modulus, node_budget)[0]
 
 
 def _find_complement(
-    tile: IntegerSet, modulus: int, node_budget: int | None
+    elements: tuple[int, ...], modulus: int, node_budget: int | None
 ) -> tuple[IntegerSet | None, int]:
-    """find_complement's search, also returning the largest t it reached.
+    """find_complement's search on a tile's elements, with the largest t reached.
 
     The quick rejections report modulus as that t, so they are never local.
     """
-    k = len(tile)
+    k = len(elements)
     if modulus % k:
         return None, modulus
-    reduced = sorted({x % modulus for x in tile.elements})
+    reduced = sorted({x % modulus for x in elements})
     if len(reduced) != k:
         return None, modulus  # not injective mod modulus: some residue would double up
     full = (1 << modulus) - 1
     base = 0
     for x in reduced:
         base |= 1 << x
-    masks: dict[int, int] = {}  # element a -> base rotated down by a
+    # Elements are walked by index i into descending. At a residue t with
+    # split elements above it, the try order is i = split .. k - 1, then
+    # 0 .. split - 1, so translates t - a increase as a falls through the
+    # elements <= t, then through those > t. masks[i] is base rotated down
+    # by descending[i]; orders[split] is that split's try order.
     descending = reduced[::-1]
+    indices = tuple(range(k))
+    masks: list[int | None] = [None] * k
+    orders: list[tuple[int, ...] | None] = [None] * (k + 1)
+    limit = sys.maxsize if node_budget is None else node_budget  # no search gets there
 
     # Depth-first search on an explicit stack, so the depth M/|A| is not
     # bound by the recursion limit. The current level's t, coverage and
-    # untried elements live in locals; the stack holds each parent level's
-    # placed element, t and untried elements. Translates t - a increase as
-    # a falls through the elements <= t, then through those > t.
+    # untried indices live in locals; the stack holds each parent level's
+    # placed index, t and untried indices.
     target = modulus // k
     stack: list[tuple[int, int, Iterator[int]]] = []
-    covered = t = reach = 0
+    covered = t = reach = nodes = 0
     split = k - bisect_right(reduced, t)
-    untried = iter(descending[split:] + descending[:split])
-    nodes = 0
+    orders[split] = indices[split:] + indices[:split]
+    untried = iter(orders[split])
     while True:
-        for a in untried:
+        for i in untried:
             nodes += 1
-            if node_budget is not None and nodes > node_budget:
+            if nodes > limit:
                 raise NodeBudgetExceeded(f"exceeded {node_budget} nodes at M={modulus}")
-            m = masks.get(a)
+            m = masks[i]
             if m is None:
-                m = masks[a] = ((base >> a) | (base << (modulus - a))) & full
+                a = descending[i]
+                m = masks[i] = ((base >> a) | (base << (modulus - a))) & full
             if not covered & m:
                 break
         else:
             if not stack:
                 return None, reach
-            a, parent_t, untried = stack.pop()
+            i, parent_t, untried = stack.pop()
             step = t - parent_t
             covered = ((covered << step) | (covered >> (modulus - step))) & full
-            covered ^= masks[a]
+            covered ^= masks[i]
             t = parent_t
             continue
-        stack.append((a, t, untried))
+        stack.append((i, t, untried))
         if len(stack) == target:
-            return IntegerSet(sorted((t - a) % modulus for a, t, _ in stack)), reach
+            placed = sorted((t - descending[i]) % modulus for i, t, _ in stack)
+            return IntegerSet(placed), reach
         covered |= m
         step = (~covered & (covered + 1)).bit_length() - 1  # the next gap
         covered = ((covered >> step) | (covered << (modulus - step))) & full
@@ -193,7 +231,10 @@ def _find_complement(
         if t > reach:
             reach = t
         split = k - bisect_right(reduced, t)
-        untried = iter(descending[split:] + descending[:split])
+        order = orders[split]
+        if order is None:
+            order = orders[split] = indices[split:] + indices[:split]
+        untried = iter(order)
 
 
 def restricted_candidates(size: int, cap: int) -> Iterator[int]:
@@ -274,15 +315,27 @@ def ordered_map(fn, items, jobs: int, chunksize: int) -> Iterator:
 def _probe(
     tile: IntegerSet, node_budget: int | None, modulus: int
 ) -> tuple[int, str, IntegerSet | None, bool]:
-    """A candidate's outcome and complement, and whether a refutation is local."""
+    """A candidate's outcome and complement, and whether a refutation is local.
+
+    Without a node budget the search runs on the tile divided by
+    g = gcd(modulus, *tile) at modulus / g, and its complement is expanded
+    over the g cosets (see the module docstring). A budget counts the nodes
+    of the full search, so under one g is 1.
+    """
     if len({x % modulus for x in tile.elements}) != len(tile):
         return modulus, "not_injective", None, False
+    g = 1 if node_budget is not None else math.gcd(modulus, *tile.elements)
     try:
-        found, reach = _find_complement(tile, modulus, node_budget)
+        found, reach = _find_complement(
+            tuple(x // g for x in tile.elements), modulus // g, node_budget
+        )
     except NodeBudgetExceeded:
         return modulus, "budget_exhausted", None, False
     if found is None:
-        return modulus, "refuted", None, reach + 2 * tile.elements[-1] < modulus
+        local = reach + 2 * tile.elements[-1] // g < modulus // g
+        return modulus, "refuted", None, local
+    if g > 1:
+        found = IntegerSet(g * b + j for b in found.elements for j in range(g))
     return modulus, "tiles", found, False
 
 
@@ -298,6 +351,11 @@ def minimal_tiling_period(
     only ever yields "inconclusive" in the negative case. Results do not
     depend on the parallelism level: workers probe candidate moduli
     speculatively but outcomes are consumed in candidate order.
+
+    Without a node budget each candidate is searched in one coset of the
+    subgroup that the tile generates with it, which finds the same outcome
+    and complement as find_complement (see the module docstring). A node
+    budget counts the nodes of find_complement's full search.
 
     After the first local refutation (see find_complement) every remaining
     candidate is listed as refuted without a search. A ValueError is raised
@@ -328,16 +386,15 @@ def minimal_tiling_period(
                 break
     if local:
         # a fresh stream: with more than one job the pool drew ahead on the first
-        def later() -> Iterator[int]:
-            return dropwhile(lambda m: m <= modulus, candidates())
-
-        if next(islice(later(), ELEMENT_SAFETY_LIMIT, None), None) is not None:
+        later = dropwhile(lambda m: m <= modulus, candidates())
+        rest = list(islice(later, ELEMENT_SAFETY_LIMIT + 1))
+        if len(rest) > ELEMENT_SAFETY_LIMIT:
             raise ValueError(
                 f"the search refuted M={modulus} locally, which refutes every "
                 f"larger candidate; listing those up to the cap {cap} would take "
                 f"more than {ELEMENT_SAFETY_LIMIT} entries"
             )
-        explored.extend((m, "refuted") for m in later())
+        explored.extend((m, "refuted") for m in rest)
     status = "does_not_tile" if proof_complete else "inconclusive"
     return PeriodResult(status, None, None, cap, tuple(explored))
 

@@ -1,5 +1,7 @@
 import heapq
 import itertools
+import json
+import math
 import os
 import subprocess
 import sys
@@ -145,6 +147,39 @@ def test_local_refutation_margin_is_tight(elems, m, larger, nodes, larger_nodes)
     assert _recursive_find_complement(elems, m) == (None, nodes)
     assert _recursive_find_complement(elems, larger) == (None, larger_nodes)
     assert search._probe(tile, None, m) == (m, "refuted", None, False)
+
+
+def test_coset_search_matches_full_search():
+    # without a budget a probe searches A/g at M/g, g = gcd(M, *A); the full
+    # search is the reference on every g * A' + shift, A' within {0..5}. The
+    # full search's reach is g times the coset search's, so both call a
+    # refutation local alike, except where |A| does not divide M/g: there
+    # the coset search refutes by counting and is never local
+    for normalized in enumerate_normalized_sets(5):
+        k = len(normalized)
+        for g in (1, 2, 3, 4):
+            for shift in {0, 1, 3, g}:
+                tile = IntegerSet(g * a + shift for a in normalized.elements)
+                for m in range(k, 49, k):
+                    if len({x % m for x in tile.elements}) != k:
+                        continue
+                    d = math.gcd(m, *tile.elements)
+                    try:
+                        # with d = 1 the probe runs this search itself, and
+                        # its refutations of {1, 9} and the like are long
+                        expected, reach = search._find_complement(
+                            tile.elements, m, 2_000 if d == 1 else None
+                        )
+                    except NodeBudgetExceeded:
+                        continue
+                    _, outcome, found, local = search._probe(tile, None, m)
+                    assert found == expected, (tile, m)
+                    assert outcome == ("refuted" if expected is None else "tiles")
+                    full_local = expected is None and reach + 2 * tile.elements[-1] < m
+                    if (m // d) % k:
+                        assert not local, (tile, m)
+                    else:
+                        assert local == full_local, (tile, m)
 
 
 def _peak_mib(fn):
@@ -305,6 +340,18 @@ def test_minimal_period_node_budget_inconclusive():
     assert r.explored[-1][1] == "budget_exhausted"
 
 
+def test_minimal_period_node_budget_counts_the_full_search():
+    # {0,2048} is injective first at 4096, where the full search places 2048
+    # translates in 2048 nodes; the coset search at 4096 / 2048 needs one
+    tile = IntegerSet.of(0, 2048)
+    result = minimal_tiling_period(tile, SearchConfig(node_budget=2047))
+    assert (result.status, result.explored[-1]) == (
+        "inconclusive", (4096, "budget_exhausted")
+    )
+    result = minimal_tiling_period(tile, SearchConfig(node_budget=2048))
+    assert (result.status, result.period) == ("tiles", 4096)
+
+
 def test_minimal_period_unrestricted_mode():
     r = minimal_tiling_period(
         IntegerSet.of(0, 2), SearchConfig(candidate_mode="unrestricted")
@@ -420,6 +467,29 @@ def test_local_refutation_listing_is_bounded():
     assert (result.returncode, result.stdout) == (2, "")
     assert len(result.stderr.splitlines()) == 1
     assert "1048576" in result.stderr and str(10**12) in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, period",
+    [
+        # the full search refutes some unrestricted candidates below 4096,
+        # such as M = 74 and 90, in a number of nodes exponential in M
+        (["--set", "0,2048", "--mode", "unrestricted", "--cap", "5000"], 4096),
+        # the full search rotates the whole 2^18-bit coverage at each of its
+        # 2^17 placements
+        (["--set", "0,131072"], 262144),
+    ],
+    ids=["0,2048-unrestricted", "0,131072"],
+)
+def test_subgroup_tiles_search_one_coset(argv, period):
+    result = subprocess.run(
+        [sys.executable, "-m", "inttiles.cli", "min-period", *argv],
+        env=subprocess_env(), capture_output=True, text=True, timeout=10,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    payload = json.loads(result.stdout)["payload"]
+    assert (payload["status"], payload["period"]) == ("tiles", period)
+    assert payload["complement"] == list(range(period // 2))
 
 
 def test_worker_count(monkeypatch):
