@@ -4,6 +4,19 @@ Coefficients are Python ints, so nothing here ever rounds or overflows.
 Polynomials are dense coefficient tuples (constant term first); the
 divisibility test for cyclotomics works on sparse exponent maps instead,
 which keeps it usable for sets with diameters in the hundreds of thousands.
+
+That test, cyclotomic_divides, asks whether f vanishes at a primitive s-th
+root of unity zeta. Write s = p^k * m with p prime and p prime to m, and
+P = p^(k-1). Over K = Q(zeta^(p^k)), a field of m-th roots of unity, the
+p^k-th root zeta^m has minimal polynomial Phi_(p^k)(X) = Phi_p(X^P) of
+degree (p - 1) P, the field degree phi(s) / phi(m). So the only K-linear
+relations among the p^k powers of zeta^m are the P sums over the classes
+r0 + j P, j < p, and a whole prime power of s is peeled in one step,
+leaving tests at order m. At a prime power s, K = Q and f vanishes exactly
+when each residue class mod P holds p terms of one coefficient; at a prime
+s that is all s coefficients present and equal, since
+1 + omega + ... + omega^(s-1) = 0 is the only relation over Q among the
+s-th roots of unity.
 """
 
 from __future__ import annotations
@@ -259,9 +272,10 @@ def cyclotomic_divides(s: int, f: Mapping[int, int]) -> bool:
 
     Equivalent to f vanishing at a primitive s-th root of unity. Instead of
     long division, f is reduced mod X^s - 1 and then rewritten over an
-    integral basis of the s-th cyclotomic field, peeling off one prime of s
-    at a time; the only arithmetic is integer addition, so the test is
-    exact and fast even when s is large and f is sparse.
+    integral basis of the s-th cyclotomic field, peeling off one whole
+    prime power of s at a time (see _vanishes); the only arithmetic is
+    integer addition, so the test is exact and fast even when s is large
+    and f is sparse.
     """
     if s < 1:
         raise ValueError("s must be positive")
@@ -273,36 +287,55 @@ def cyclotomic_divides(s: int, f: Mapping[int, int]) -> bool:
 
 
 def _vanishes(terms: dict[int, int], s: int) -> bool:
-    # terms: exponent -> coefficient with exponents already in [0, s).
+    """Whether the sum of c * zeta^a over terms is 0, zeta a primitive s-th root.
+
+    terms maps exponents in [0, s) to nonzero coefficients. Write
+    s = q * m with q = p^k, p the smallest prime of s, and P = q / p. Then
+    zeta^a = omega^(a mod q) * eta^(a mod m) for roots omega of order q and
+    eta of order m. Over K = Q(eta) the minimal polynomial of omega is
+    Phi_q(X) = Phi_p(X^P), of degree (p - 1) P, so omega^r for r < (p - 1) P
+    is a basis of K(omega) over K, and the only relations among the q
+    powers of omega are omega^r0 * (1 + omega^P + ... + omega^((p-1)P)) = 0,
+    one for each r0 < P. So the terms vanish exactly when, for each r0, the
+    p classes a mod q = r0 + j P, j < p, are equal in K; that is when every
+    class minus the j = p - 1 class vanishes at eta, a test at order m.
+    When s = q is a prime power, K = Q and the classes are single
+    coefficients: the terms vanish exactly when each residue class mod P
+    holds p terms with one coefficient. The recursion peels one prime per
+    level, so its depth is the number of distinct primes of s.
+    """
     if not terms:
         return True
     if s == 1:
         return sum(terms.values()) == 0
     p = smallest_prime_factor(s)
-    t = s // p
-    # only the classes that receive a term are built: an empty class
-    # vanishes, and p may be far larger than the number of terms
+    q = p
+    while s % (q * p) == 0:
+        q *= p
+    step, m = q // p, s // q  # P and m above
+    if m == 1:
+        groups: dict[int, list[int]] = defaultdict(list)
+        for a, c in terms.items():
+            groups[a % step].append(c)
+        return all(len(cs) == p and cs.count(cs[0]) == p for cs in groups.values())
+    # only the classes that receive a term are built: an empty class is
+    # zero, and p may be far larger than the number of terms
     classes: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    if t % p == 0:
-        # p^2 | s: zeta^a = zeta^(a mod p) * (zeta^p)^(a div p), and
-        # 1, zeta, ..., zeta^(p-1) are a basis over Q(zeta^p).
-        for a, c in terms.items():
-            classes[a % p][a // p] += c
-        residual = classes.values()
-    else:
-        # p exactly divides s: split by a mod p against coordinates mod t,
-        # then eliminate the omega^(p-1) component via 1 + omega + ... = 0.
-        for a, c in terms.items():
-            classes[a % p][a % t] += c
-        last = classes.pop(p - 1, {})
-        residual = []
-        for d in classes.values():
+    for a, c in terms.items():
+        classes[a % q][a % m] += c
+    top = q - step  # the classes r0 + (p - 1) P
+    lasts = {r - top: classes.pop(r) for r in [r for r in classes if r >= top]}
+    others: dict[int, int] = defaultdict(int)
+    residual = []
+    for r, d in classes.items():
+        last = lasts.get(r % step)
+        if last is not None:
+            others[r % step] += 1
             for e, c in last.items():
                 d[e] -= c
-            residual.append(d)
-        if len(classes) < p - 1:
-            # an empty class j leaves -last, which vanishes iff last does
-            residual.append(last)
+        residual.append(d)
+    # an empty class j of r0 leaves -last, which vanishes iff last does
+    residual.extend(last for r0, last in lasts.items() if others[r0] < p - 1)
     seen = set()
     for cl in residual:
         reduced = {e: c for e, c in cl.items() if c}
@@ -310,6 +343,6 @@ def _vanishes(terms: dict[int, int], s: int) -> bool:
         if key in seen:
             continue
         seen.add(key)
-        if not _vanishes(reduced, t):
+        if not _vanishes(reduced, m):
             return False
     return True

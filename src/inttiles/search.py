@@ -68,9 +68,15 @@ from .tilingset import CyclicTiling, IntegerSet, json_fields, least_period
 
 # The most entries one call may list: construct box and counterexample build
 # one per residue or pair (construct box --powers 2^20 took 0.34 s and 99 MB
-# peak RSS, Python 3.11, 2 CPUs), and a local refutation lists one explored
-# entry per remaining candidate.
+# peak RSS, Python 3.11, 2 CPUs), a local refutation lists one explored
+# entry per remaining candidate, and a coset search expands its complement
+# into one element per residue it covers.
 ELEMENT_SAFETY_LIMIT = 2**20
+# The largest modulus the complement search takes on. It keeps one M-bit mask
+# per tried element and rotates the coverage at every node: under a budget of
+# 1,000 nodes, {0, 2^23} at M = 2^24 peaked at 35 MB in 11 s and a 64-element
+# tile at 167 MB in 0.8 s; {0, 2^25} at 2^26 took 48 s (Python 3.11, 2 CPUs).
+SEARCH_MODULUS_LIMIT = 2**24
 
 
 class NodeBudgetExceeded(Exception):
@@ -153,6 +159,10 @@ def find_complement(
     generates with modulus; minimal_tiling_period searches one coset
     instead when it has no node budget (see the module docstring).
 
+    A modulus past SEARCH_MODULUS_LIMIT that passes the two counting
+    checks (|tile| divides it, the tile is injective mod it) raises a
+    ValueError instead of allocating its masks.
+
     A refutation is local when every t the search reached has
     t + 2 max(tile) < modulus. Then None, with the same node count, is also
     the answer at every larger multiple of |tile|, so a node budget stops
@@ -175,6 +185,11 @@ def _find_complement(
     reduced = sorted({x % modulus for x in elements})
     if len(reduced) != k:
         return None, modulus  # not injective mod modulus: some residue would double up
+    if modulus > SEARCH_MODULUS_LIMIT:
+        raise ValueError(
+            f"a complement search modulo {modulus} takes {modulus}-bit masks, "
+            f"past the limit {SEARCH_MODULUS_LIMIT}"
+        )
     full = (1 << modulus) - 1
     base = 0
     for x in reduced:
@@ -320,7 +335,8 @@ def _probe(
     Without a node budget the search runs on the tile divided by
     g = gcd(modulus, *tile) at modulus / g, and its complement is expanded
     over the g cosets (see the module docstring). A budget counts the nodes
-    of the full search, so under one g is 1.
+    of the full search, so under one g is 1. A complement of more than
+    ELEMENT_SAFETY_LIMIT elements raises a ValueError before it is expanded.
     """
     if len({x % modulus for x in tile.elements}) != len(tile):
         return modulus, "not_injective", None, False
@@ -335,6 +351,11 @@ def _probe(
         local = reach + 2 * tile.elements[-1] // g < modulus // g
         return modulus, "refuted", None, local
     if g > 1:
+        if modulus // len(tile) > ELEMENT_SAFETY_LIMIT:
+            raise ValueError(
+                f"the complement at M={modulus} would have {modulus // len(tile)} "
+                f"elements, more than {ELEMENT_SAFETY_LIMIT}"
+            )
         found = IntegerSet(g * b + j for b in found.elements for j in range(g))
     return modulus, "tiles", found, False
 
@@ -359,7 +380,9 @@ def minimal_tiling_period(
 
     After the first local refutation (see find_complement) every remaining
     candidate is listed as refuted without a search. A ValueError is raised
-    instead when more than ELEMENT_SAFETY_LIMIT candidates remain.
+    instead when more than ELEMENT_SAFETY_LIMIT candidates remain, when a
+    probe would search a modulus past SEARCH_MODULUS_LIMIT, or when the
+    complement found has more than ELEMENT_SAFETY_LIMIT elements.
     """
     cap = default_cap(tile)
     proof_complete = True

@@ -96,6 +96,16 @@ def test_analyze_huge_diameter(elements, spectrum, t1):
     assert env["payload"]["t1"] is t1
 
 
+def test_analyze_prime_power_tower():
+    # 1 + X^(2^k) = Phi_(2^(k+1)): the kernel peels the whole tower 2^(k+1) in
+    # one level, where it once recursed past the recursion limit for k >= 990
+    k = 1100
+    code, env = run_json("analyze", "--set", f"0,{2**k}")
+    assert code == 0
+    assert env["payload"]["spectrum"] == [2 ** (k + 1)]
+    assert env["payload"]["t1"] is True
+
+
 def test_check_tiling_inline():
     code, env = run_json(
         "check-tiling", "--tile", "0,1", "--complement", "0,2", "--modulus", "4"

@@ -30,6 +30,16 @@ def test_spectrum_examples():
     assert spectrum(IntegerSet.of(0)) == ()
 
 
+@pytest.mark.parametrize("k", [1, 2, 1100])
+def test_spectrum_of_a_three_adic_tower(k):
+    # 1 + X^(3^k) + X^(2*3^k) = Phi_3(X^(3^k)) = Phi_(3^(k+1))(X); a kernel
+    # that recursed once per factor 3 passed the recursion limit at k = 1100
+    tile = IntegerSet.of(0, 3**k, 2 * 3**k)
+    assert spectrum(tile) == (3 ** (k + 1),)
+    report = cm_report(tile)
+    assert report.t1 and report.t2 and report.lcm_sa == 3 ** (k + 1)
+
+
 def test_spectrum_agrees_with_division():
     # the divisibility backend and plain long division must agree
     for elems in [(0, 1, 2, 3), (0, 1, 4), (0, 2, 4), (0, 1, 2, 3, 4, 5), (0, 6)]:

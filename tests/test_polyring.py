@@ -399,3 +399,71 @@ def test_vanishes_matches_all_classes_kernel(instance):
     terms, s = instance
     assert _vanishes(terms, s) == _vanishes_all_classes(terms, s)
 
+
+
+@st.composite
+def tower_maps(draw):
+    """(terms, s) with s = p^a * m: p in {2, 3, 5, 7}, a <= 12 and m a
+    square-free product of at most two other primes up to 13. terms sums
+    whole cosets {e + j*s/r : j < r} for primes r | s, each of which
+    vanishes at a primitive s-th root of unity, and adds at most two noise
+    terms, each at a random exponent or on a coset term."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    others = [r for r in (2, 3, 5, 7, 11, 13) if r != p]
+    s = p ** draw(st.integers(0, 12)) * math.prod(draw(st.sets(st.sampled_from(others), max_size=2)))
+    terms: dict[int, int] = {}
+    for r in draw(st.lists(st.sampled_from(factorize(s).primes or (1,)), max_size=4)):
+        e, c = draw(st.integers(0, s - 1)), draw(st.integers(-2, 2))
+        for j in range(r):
+            x = (e + j * (s // r)) % s
+            terms[x] = terms.get(x, 0) + c
+    for _ in range(draw(st.integers(0, 2))):
+        spots = st.integers(0, s - 1)
+        if terms:
+            spots = st.one_of(spots, st.sampled_from(sorted(terms)))
+        x = draw(spots)
+        terms[x] = terms.get(x, 0) + draw(st.integers(-2, 2))
+    return {e: c for e, c in terms.items() if c}, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(tower_maps())
+@example(({0: 1, 2**11: 1}, 2**12))  # 1 + X^(s/2) = Phi_s(X) at s = 2^12
+@example(({0: 1, 3**11: 1}, 3**12))  # two of the three classes mod 3^11
+@example(({0: 1, 7**11: 1, 2 * 7**11: 2}, 7**12 * 13))
+def test_vanishes_on_prime_power_towers(instance):
+    terms, s = instance
+    verdict = _vanishes(terms, s)
+    assert verdict == _vanishes_all_classes(terms, s)
+    if s <= 200:
+        f = IntPolynomial.from_terms(terms)
+        assert verdict == (f.is_zero() or exact_divide(f, cyclotomic(s)) is not None)
+
+
+def test_vanishes_depth_is_the_number_of_primes(monkeypatch):
+    # one level per distinct prime of s: a whole prime-power tower is peeled
+    # at once, and a prime power is settled without recursing. The coset
+    # {j*s/r : j < r} of the largest prime r vanishes and reaches the last level.
+    import inttiles.polyring as polyring
+
+    depth = deepest = 0
+    kernel = polyring._vanishes
+
+    def counting(terms, s):
+        nonlocal depth, deepest
+        depth += 1
+        deepest = max(deepest, depth)
+        try:
+            return kernel(terms, s)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(polyring, "_vanishes", counting)
+    for s in (2**1101, 3**700, 2**40 * 3**30 * 5, 7**12 * 11 * 13, 360, 9699690):
+        primes = factorize(s).primes
+        deepest = 0
+        assert cyclotomic_divides(s, {j * (s // primes[-1]): 1 for j in range(primes[-1])})
+        assert deepest == len(primes), s
+        deepest = 0
+        assert not cyclotomic_divides(s, {0: 1, 1: 1})
+        assert deepest <= len(primes), s

@@ -13,6 +13,8 @@ from conftest import enumerate_normalized_sets, subprocess_env
 from inttiles import search
 from inttiles.polyring import cyclotomic_divides, factorize
 from inttiles.search import (
+    ELEMENT_SAFETY_LIMIT,
+    SEARCH_MODULUS_LIMIT,
     NodeBudgetExceeded,
     PeriodResult,
     SearchConfig,
@@ -202,6 +204,49 @@ def test_find_complement_memory_is_linear_in_modulus():
     found, peak = _peak_mib(lambda: find_complement(IntegerSet(range(2**13)), 2**13))
     assert found.elements == (0,)
     assert peak < 4
+
+
+def test_find_complement_refuses_a_modulus_past_the_limit():
+    # the counting checks still answer at any modulus; a search would
+    # allocate M-bit masks, so past the limit it is refused
+    assert find_complement(IntegerSet.of(0, 2**40), 2**40) is None  # not injective
+    assert find_complement(IntegerSet.of(0, 1, 2), 2**40) is None  # 3 does not divide
+    with pytest.raises(NodeBudgetExceeded):
+        find_complement(IntegerSet.of(0, 1), SEARCH_MODULUS_LIMIT, node_budget=1)
+    with pytest.raises(ValueError, match=str(SEARCH_MODULUS_LIMIT)):
+        find_complement(IntegerSet.of(0, 1), 2 * SEARCH_MODULUS_LIMIT, node_budget=1)
+
+
+def test_coset_complement_past_the_element_limit_is_refused():
+    # {0, 2^k} tiles at 2^(k+1) with the complement {0, ..., 2^k - 1}; the
+    # coset search finds it at M/g = 2 and expands it only up to the limit
+    assert ELEMENT_SAFETY_LIMIT == 2**20
+    result = minimal_tiling_period(IntegerSet.of(0, 2**20))
+    assert (result.period, len(result.complement)) == (2**21, 2**20)
+    with pytest.raises(ValueError, match=f"{2**21} elements"):
+        minimal_tiling_period(IntegerSet.of(0, 2**21))
+
+
+def _limit_address_space():
+    # run in the child before exec: a 2 GB address space, as in CI
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024, 2_000_000 * 1024))
+
+
+@pytest.mark.parametrize("budget", [[], ["--node-budget", "1000"]], ids=["coset", "budget"])
+def test_min_period_past_the_size_limits_is_a_usage_error(budget):
+    # {0, 2^40} tiles first at 2^41: without a budget the coset search would
+    # expand a 2^40-element complement, with one the full search would build
+    # 2^41-bit masks; both ended in MemoryError (exit 4)
+    argv = ["min-period", "--set", f"0,{2**40}", *budget]
+    result = subprocess.run(
+        [sys.executable, "-m", "inttiles.cli", *argv], env=subprocess_env(),
+        capture_output=True, text=True, timeout=10, preexec_fn=_limit_address_space,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ")
 
 
 def _oracle_has_complement(elems, m):
