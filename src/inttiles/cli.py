@@ -18,8 +18,11 @@ import math
 import os
 import sys
 import time
+from collections import deque
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 from .cmcheck import cm_report
 from .constructions import (
@@ -31,13 +34,7 @@ from .constructions import (
 )
 from .faults import InternalFaultError
 from .schemas import SCHEMA_VERSION
-from .search import (
-    ELEMENT_SAFETY_LIMIT,
-    SearchConfig,
-    minimal_tiling_period,
-    ordered_map,
-    worker_count,
-)
+from .search import ELEMENT_SAFETY_LIMIT, SearchConfig, minimal_tiling_period
 from .tilingset import IntegerSet, is_tiling, json_fields
 
 CORPUS_SAFETY_LIMIT = 14
@@ -45,21 +42,8 @@ CORPUS_SAFETY_LIMIT = 14
 # at M = 1,002,001 on a near miss; 0.65 on a tiling), so this limit keeps one
 # run within a few hundred MB
 MODULUS_SAFETY_LIMIT = 10**8
-JOBS_ENV_VAR = "INTTILES_JOBS"
-JOBS_HELP = "worker processes (0 = one per CPU, never more than the CPU count)"
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{JOBS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if jobs < 0:
-        raise ValueError(f"{JOBS_ENV_VAR} must be nonnegative")
-    return jobs
+# sets per corpus task: with one per task, --jobs 2 ran about twice as long
+CORPUS_CHUNK = 16
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -169,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.add_argument("--mode", choices=("restricted", "unrestricted"), default="restricted")
     p.add_argument("--cap", type=int, help="override the candidate-modulus cap")
-    p.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     p.add_argument("--node-budget", type=int, help="abort search beyond this many nodes")
 
     p = sub.add_parser("construct", help="generate explicit tilings")
@@ -191,7 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="enumerate sets up to a diameter, one JSON line each")
     p.add_argument("--max-diameter", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes (0 = one per CPU, never more than the CPU count)",
+    )
     p.add_argument(
         "--force",
         action="store_true",
@@ -240,11 +228,9 @@ def _run_min_period(args):
     given = _input_set(args)
     tile = given.normalize()
     offset = given.elements[0]
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
     config = SearchConfig(
         candidate_mode=args.mode,
         max_modulus_override=args.cap,
-        parallelism=jobs,
         node_budget=args.node_budget,
     )
     result = minimal_tiling_period(tile, config)
@@ -314,6 +300,47 @@ def _corpus_record(elements: tuple[int, ...]) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
+def worker_count(jobs: int) -> int:
+    """Processes for a request of jobs: 0 means one per CPU, never more than the CPUs."""
+    if jobs < 0:
+        raise ValueError(f"worker count must be nonnegative, got {jobs}")
+    cpus = os.cpu_count() or 1
+    return min(jobs, cpus) if jobs else cpus
+
+
+def _map_chunk(fn, chunk: list) -> list:
+    return [fn(item) for item in chunk]
+
+
+def ordered_map(fn, items, jobs: int) -> Iterator:
+    """fn over items, yielding results in input order.
+
+    The one place that runs work on a process pool, so `corpus` prints the
+    same stream at any worker count. One job is map(fn, items). More run
+    CORPUS_CHUNK items per task with at most 2 * jobs tasks in flight, and
+    cancel the tasks not yet started when the stream is closed.
+    """
+    if jobs == 1:
+        yield from map(fn, items)
+        return
+    # imported here: serial runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    items = iter(items)
+    pending: deque = deque()
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        try:
+            while chunk := list(islice(items, CORPUS_CHUNK)):
+                pending.append(pool.submit(_map_chunk, fn, chunk))
+                if len(pending) == 2 * jobs:
+                    yield from pending.popleft().result()
+            while pending:
+                yield from pending.popleft().result()
+        finally:
+            for fut in pending:
+                fut.cancel()
+
+
 def _run_corpus(args, out) -> int:
     if args.max_diameter < 0:
         raise ValueError("--max-diameter must be nonnegative")
@@ -322,9 +349,8 @@ def _run_corpus(args, out) -> int:
             f"--max-diameter {args.max_diameter} exceeds the safety limit "
             f"{CORPUS_SAFETY_LIMIT}; pass --force to override"
         )
-    jobs = worker_count(args.jobs if args.jobs is not None else _default_jobs())
-    # 16 sets per task: with one per task, --jobs 2 ran about twice as long
-    for line in ordered_map(_corpus_record, _corpus_sets(args.max_diameter), jobs, 16):
+    jobs = worker_count(args.jobs)
+    for line in ordered_map(_corpus_record, _corpus_sets(args.max_diameter), jobs):
         print(line, file=out)
     return 0
 
@@ -395,6 +421,8 @@ def main(argv=None, out=None, err=None) -> int:
     envelope["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
     if getattr(args, "format", "json") == "text":
         print(f"subcommand: {subcommand}", file=out)
+        if normalization is not None:
+            _render_text({"normalization": normalization}, out)
         _render_text(payload, out)
         print(f"timing_ms: {envelope['timing_ms']}", file=out)
     else:

@@ -41,25 +41,16 @@ counting and reaches no t, so it is never local, though the full search
 may be. Every larger candidate still refutes, and the period search
 searches them until one is local, with the same outcomes; only the error
 for too long a listing can name a later M.
-
-ordered_map is the one place that runs work on a process pool. With one
-job it is map(fn, items); with more it keeps a bounded window of chunked
-tasks in flight and yields results in input order, so the period search
-and the CLI corpus print the same stream at any worker count.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import heapq
 import math
-import os
 import sys
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import dropwhile, islice
+from itertools import islice
 from typing import Iterator
 
 from .faults import WitnessViolationError
@@ -93,22 +84,18 @@ class SearchConfig:
     and exists as an oracle for the restricted mode. Either way candidates
     are generated lazily as the search probes them, so a large cap costs
     nothing until it is reached, except that a local refutation lists every
-    remaining candidate at once (see minimal_tiling_period). parallelism
-    is read by worker_count: 0 means one worker per CPU, and no search gets
-    more workers than CPUs.
+    remaining candidate at once (see minimal_tiling_period).
     A max_modulus_override below the default cap downgrades a negative
     answer to inconclusive.
     """
 
     candidate_mode: str = "restricted"
     max_modulus_override: int | None = None
-    parallelism: int = 1
     node_budget: int | None = None
 
     def __post_init__(self):
         if self.candidate_mode not in ("restricted", "unrestricted"):
             raise ValueError(f"unknown candidate mode {self.candidate_mode!r}")
-        worker_count(self.parallelism)  # raises on a negative count
         if self.max_modulus_override is not None and self.max_modulus_override < 1:
             raise ValueError("max_modulus_override must be positive")
         if self.node_budget is not None and self.node_budget < 1:
@@ -285,51 +272,9 @@ def default_cap(tile: IntegerSet) -> int:
     return (2 * tile.diameter()) ** d
 
 
-def worker_count(jobs: int) -> int:
-    """Processes for a request of jobs: 0 means one per CPU, never more than the CPUs."""
-    if jobs < 0:
-        raise ValueError(f"worker count must be nonnegative, got {jobs}")
-    if jobs == 1:
-        return 1  # os.cpu_count() costs ~10% of a small serial search
-    cpus = os.cpu_count() or 1
-    return min(jobs, cpus) if jobs else cpus
-
-
-def _map_chunk(fn, chunk: list) -> list:
-    return [fn(item) for item in chunk]
-
-
-def ordered_map(fn, items, jobs: int, chunksize: int) -> Iterator:
-    """fn over items, yielding results in input order.
-
-    One job is map(fn, items). More run chunksize items per task on a
-    process pool with at most 2 * jobs tasks in flight, and cancel the
-    tasks not yet started when the stream is closed.
-    """
-    if jobs == 1:
-        yield from map(fn, items)
-        return
-    # imported here: serial runs never load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    items = iter(items)
-    pending: deque = deque()
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        try:
-            while chunk := list(islice(items, chunksize)):
-                pending.append(pool.submit(_map_chunk, fn, chunk))
-                if len(pending) == 2 * jobs:
-                    yield from pending.popleft().result()
-            while pending:
-                yield from pending.popleft().result()
-        finally:
-            for fut in pending:
-                fut.cancel()
-
-
 def _probe(
-    tile: IntegerSet, node_budget: int | None, modulus: int
-) -> tuple[int, str, IntegerSet | None, bool]:
+    tile: IntegerSet, modulus: int, node_budget: int | None
+) -> tuple[str, IntegerSet | None, bool]:
     """A candidate's outcome and complement, and whether a refutation is local.
 
     Without a node budget the search runs on the tile divided by
@@ -339,17 +284,17 @@ def _probe(
     ELEMENT_SAFETY_LIMIT elements raises a ValueError before it is expanded.
     """
     if len({x % modulus for x in tile.elements}) != len(tile):
-        return modulus, "not_injective", None, False
+        return "not_injective", None, False
     g = 1 if node_budget is not None else math.gcd(modulus, *tile.elements)
     try:
         found, reach = _find_complement(
             tuple(x // g for x in tile.elements), modulus // g, node_budget
         )
     except NodeBudgetExceeded:
-        return modulus, "budget_exhausted", None, False
+        return "budget_exhausted", None, False
     if found is None:
         local = reach + 2 * tile.elements[-1] // g < modulus // g
-        return modulus, "refuted", None, local
+        return "refuted", None, local
     if g > 1:
         if modulus // len(tile) > ELEMENT_SAFETY_LIMIT:
             raise ValueError(
@@ -357,7 +302,7 @@ def _probe(
                 f"elements, more than {ELEMENT_SAFETY_LIMIT}"
             )
         found = IntegerSet(g * b + j for b in found.elements for j in range(g))
-    return modulus, "tiles", found, False
+    return "tiles", found, False
 
 
 def minimal_tiling_period(
@@ -369,9 +314,7 @@ def minimal_tiling_period(
     admitting a complement is the minimum over the enumerated family. With
     the default cap a fully refuted enumeration is a proof that the tile
     does not tile the integers at all; a cap override below the default
-    only ever yields "inconclusive" in the negative case. Results do not
-    depend on the parallelism level: workers probe candidate moduli
-    speculatively but outcomes are consumed in candidate order.
+    only ever yields "inconclusive" in the negative case.
 
     Without a node budget each candidate is searched in one coset of the
     subgroup that the tile generates with it, which finds the same outcome
@@ -390,34 +333,28 @@ def minimal_tiling_period(
         proof_complete = config.max_modulus_override >= cap
         cap = config.max_modulus_override
     if config.candidate_mode == "restricted":
-        candidates = functools.partial(restricted_candidates, len(tile), cap)
+        candidates = restricted_candidates(len(tile), cap)
     else:
-        candidates = functools.partial(unrestricted_candidates, len(tile), cap)
-    probe = functools.partial(_probe, tile, config.node_budget)
-    jobs = worker_count(config.parallelism)
+        candidates = unrestricted_candidates(len(tile), cap)
 
     explored: list[tuple[int, str]] = []
-    local = False
-    with contextlib.closing(ordered_map(probe, candidates(), jobs, 1)) as outcomes:
-        for modulus, outcome, complement, local in outcomes:
-            explored.append((modulus, outcome))
-            if outcome == "tiles":
-                return PeriodResult("tiles", modulus, complement, cap, tuple(explored))
-            if outcome == "budget_exhausted":
-                return PeriodResult("inconclusive", None, None, cap, tuple(explored))
-            if local:
-                break
-    if local:
-        # a fresh stream: with more than one job the pool drew ahead on the first
-        later = dropwhile(lambda m: m <= modulus, candidates())
-        rest = list(islice(later, ELEMENT_SAFETY_LIMIT + 1))
-        if len(rest) > ELEMENT_SAFETY_LIMIT:
-            raise ValueError(
-                f"the search refuted M={modulus} locally, which refutes every "
-                f"larger candidate; listing those up to the cap {cap} would take "
-                f"more than {ELEMENT_SAFETY_LIMIT} entries"
-            )
-        explored.extend((m, "refuted") for m in rest)
+    for modulus in candidates:
+        outcome, complement, local = _probe(tile, modulus, config.node_budget)
+        explored.append((modulus, outcome))
+        if outcome == "tiles":
+            return PeriodResult("tiles", modulus, complement, cap, tuple(explored))
+        if outcome == "budget_exhausted":
+            return PeriodResult("inconclusive", None, None, cap, tuple(explored))
+        if local:
+            rest = list(islice(candidates, ELEMENT_SAFETY_LIMIT + 1))
+            if len(rest) > ELEMENT_SAFETY_LIMIT:
+                raise ValueError(
+                    f"the search refuted M={modulus} locally, which refutes every "
+                    f"larger candidate; listing those up to the cap {cap} would take "
+                    f"more than {ELEMENT_SAFETY_LIMIT} entries"
+                )
+            explored.extend((m, "refuted") for m in rest)
+            break
     status = "does_not_tile" if proof_complete else "inconclusive"
     return PeriodResult(status, None, None, cap, tuple(explored))
 

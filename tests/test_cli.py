@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from conftest import subprocess_env
 from inttiles import cli
+from inttiles.cli import CORPUS_CHUNK, worker_count
 from inttiles.faults import InconsistentRoutesError
 from inttiles.schemas import CORPUS_RECORD, ENVELOPE, PAYLOAD_SCHEMAS
-from inttiles.search import worker_count
 
 
 def run_cli(*argv):
@@ -179,6 +179,15 @@ def test_text_format():
     assert code == 0
     assert "status: tiles" in out
     assert "period: 4" in out
+    # the normalization shows as in the JSON envelope: {7,8} is {0,1} + 7
+    code, out, err = run_cli("min-period", "--set", "7,8", "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1:3] == ["normalization:", "  offset: 7"]
+    assert "complement: 0" in lines
+    # a report with no normalization in its envelope shows none
+    _, out, _ = run_cli("construct", "box", "--powers", "2^2", "--format", "text")
+    assert "normalization" not in out
 
 
 def test_json_payload_roundtrip():
@@ -259,7 +268,7 @@ GOLDEN_RUNS = [
     ),
     pytest.param(
         ("min-period", "--set", "0,1,4,5", "--format", "text"),
-        "4664671e8a3d0d7dc8303d9f310f45f6474b27e783ec6af5ed77113f479e158f",
+        "490def0f272b475c4a958b6425bc0483886b4e5bd77dec4a614c38b6f07581c6",
         id="min-period-text",
     ),
 ]
@@ -324,14 +333,6 @@ def test_corpus_respects_safety_limit():
     assert out == ""
 
 
-def test_corpus_jobs_env_default(monkeypatch):
-    monkeypatch.setenv(cli.JOBS_ENV_VAR, "2")
-    code, out, _ = run_cli("corpus", "--max-diameter", "3")
-    assert code == 0
-    code2, out2, _ = run_cli("corpus", "--max-diameter", "3", "--jobs", "1")
-    assert out == out2
-
-
 def test_corpus_jobs_auto():
     code, out, _ = run_cli("corpus", "--max-diameter", "3", "--jobs", "0")
     assert code == 0
@@ -361,14 +362,8 @@ def test_parallel_corpus_draws_within_window(monkeypatch):
     out = Out()
     code = cli.main(["corpus", "--max-diameter", "10", "--jobs", "2"], out=out, err=io.StringIO())
     assert code == 0
-    assert drawn_at_first_write[0] <= 2 * worker_count(2) * 16
+    assert drawn_at_first_write[0] <= 2 * worker_count(2) * CORPUS_CHUNK
     assert drawn == [1024] and out.getvalue().count("\n") == 1024
-
-
-def test_min_period_parallel_jobs():
-    _, env_serial = run_json("min-period", "--set", "0,1,4,5", "--jobs", "1")
-    _, env_parallel = run_json("min-period", "--set", "0,1,4,5", "--jobs", "2")
-    assert env_serial["payload"] == env_parallel["payload"]
 
 
 # --- failure modes ---------------------------------------------------------------
@@ -495,20 +490,21 @@ def test_unexpected_exception_is_one_line_exit_4(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv", [("corpus", "--max-diameter", "3"), ("min-period", "--set", "0,1")]
+    "argv",
+    [
+        ("corpus", "--max-diameter", "3", "--jobs", "-1"),
+        # the period search runs in one process: corpus --jobs is the one
+        # worker setting, and min-period has no --jobs
+        ("min-period", "--set", "0,1", "--jobs", "2"),
+    ],
 )
 def test_negative_jobs_is_usage_error(argv):
-    code, out, err = run_cli(*argv, "--jobs", "-1")
+    code, out, err = run_cli(*argv)
     assert code == 2
     assert out == ""
-    assert err == "error: worker count must be nonnegative, got -1\n"
-
-
-def test_jobs_env_var_validation(monkeypatch):
-    monkeypatch.setenv(cli.JOBS_ENV_VAR, "many")
-    code, _, err = run_cli("min-period", "--set", "0,1")
-    assert code == 2
-    assert cli.JOBS_ENV_VAR in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if argv[0] == "corpus":
+        assert err == "error: worker count must be nonnegative, got -1\n"
 
 
 # Each of these once hung, ran out of memory, exited 4 or misread its input.
@@ -637,7 +633,7 @@ _FRACTIONS = st.one_of(
 def cli_runs(draw):
     """An argv for one subcommand and the JSON document its --input names,
     if any. Values stay small: moduli up to 10^4, --n in {1, 2, 3}, corpus
-    diameters up to 4 and --jobs absent or 1, so no run is slow, allocates
+    diameters up to 4 and corpus --jobs absent or 1, so no run is slow, allocates
     much or starts a process; only analyze takes elements up to 10^12.
     Each value goes in one --flag=value token, so argparse reads a negative
     number as a value. Some argvs lose a required token or gain an unknown
@@ -662,9 +658,8 @@ def cli_runs(draw):
                 argv.append(f"--cap={draw(st.integers(-2, 100))}")
             if unrestricted or draw(st.booleans()):
                 argv.append(f"--mode={'unrestricted' if unrestricted else 'restricted'}")
-            for flag, values in (("--node-budget", st.integers(-1, 500)), ("--jobs", st.just(1))):
-                if draw(st.booleans()):
-                    argv.append(f"{flag}={draw(values)}")
+            if draw(st.booleans()):
+                argv.append(f"--node-budget={draw(st.integers(-1, 500))}")
     elif kind == "check-tiling":
         argv = [kind]
         if draw(st.booleans()):

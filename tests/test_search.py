@@ -11,6 +11,7 @@ import pytest
 
 from conftest import enumerate_normalized_sets, subprocess_env
 from inttiles import search
+from inttiles.cli import CORPUS_CHUNK, ordered_map, worker_count
 from inttiles.polyring import cyclotomic_divides, factorize
 from inttiles.search import (
     ELEMENT_SAFETY_LIMIT,
@@ -21,12 +22,10 @@ from inttiles.search import (
     default_cap,
     find_complement,
     minimal_tiling_period,
-    ordered_map,
     restricted_candidates,
     period_bound_check,
     top_power_witnesses,
     unrestricted_candidates,
-    worker_count,
 )
 from inttiles.tilingset import CyclicTiling, IntegerSet, is_tiling, least_period
 
@@ -126,7 +125,7 @@ def test_local_refutation_refutes_every_larger_modulus():
         for shift in (0, 2):
             tile = normalized.translate(shift)
             for m in range(k, 101, k):
-                if not search._probe(tile, None, m)[3]:
+                if not search._probe(tile, m, None)[2]:
                     continue
                 _, nodes = _recursive_find_complement(tile.elements, m)
                 for larger in range(m + k, 101, k):
@@ -148,7 +147,7 @@ def test_local_refutation_margin_is_tight(elems, m, larger, nodes, larger_nodes)
     tile = IntegerSet(elems)
     assert _recursive_find_complement(elems, m) == (None, nodes)
     assert _recursive_find_complement(elems, larger) == (None, larger_nodes)
-    assert search._probe(tile, None, m) == (m, "refuted", None, False)
+    assert search._probe(tile, m, None) == ("refuted", None, False)
 
 
 def test_coset_search_matches_full_search():
@@ -174,7 +173,7 @@ def test_coset_search_matches_full_search():
                         )
                     except NodeBudgetExceeded:
                         continue
-                    _, outcome, found, local = search._probe(tile, None, m)
+                    outcome, found, local = search._probe(tile, m, None)
                     assert found == expected, (tile, m)
                     assert outcome == ("refuted" if expected is None else "tiles")
                     full_local = expected is None and reach + 2 * tile.elements[-1] < m
@@ -418,32 +417,6 @@ def test_restricted_equals_unrestricted_small():
         assert restricted.period == unrestricted.period, tile
 
 
-def test_parallel_matches_serial():
-    for elems in [(0, 2), (0, 1, 4, 5), (0, 1, 3), (0, 1, 2, 3, 4, 5)]:
-        tile = IntegerSet(elems)
-        serial = minimal_tiling_period(tile, SearchConfig(parallelism=1))
-        parallel = minimal_tiling_period(tile, SearchConfig(parallelism=2))
-        assert serial == parallel
-
-
-def test_parallel_negative_and_budget_outcomes():
-    # does_not_tile must survive the pool path unchanged
-    tile = IntegerSet.of(0, 1, 2, 4)
-    serial = minimal_tiling_period(tile, SearchConfig(parallelism=1))
-    parallel = minimal_tiling_period(tile, SearchConfig(parallelism=3))
-    assert serial == parallel
-    # and a budget stop is reported at the same candidate
-    config = SearchConfig(parallelism=2, node_budget=1)
-    result = minimal_tiling_period(IntegerSet.of(0, 1, 4, 5), config)
-    assert result.status == "inconclusive"
-    assert result.explored[-1][1] == "budget_exhausted"
-
-
-def test_parallelism_zero_means_auto():
-    result = minimal_tiling_period(IntegerSet.of(0, 1, 4, 5), SearchConfig(parallelism=0))
-    assert (result.status, result.period) == ("tiles", 8)
-
-
 def _probe_every_candidate(tile, config):
     """The period search before local refutations: every candidate searched."""
     cap = default_cap(tile)
@@ -476,26 +449,11 @@ def _probe_every_candidate(tile, config):
 def test_period_search_matches_probing_every_candidate():
     configs = [
         SearchConfig(candidate_mode=mode, max_modulus_override=cap, node_budget=budget)
-        for mode, cap in (("restricted", None), ("unrestricted", 150))
+        for mode, cap in (("restricted", None), ("restricted", 150), ("unrestricted", 150))
         for budget in (None, 1, 50, 500)
     ]
     for tile in enumerate_normalized_sets(8):
         for config in configs:
-            assert minimal_tiling_period(tile, config) == _probe_every_candidate(
-                tile, config
-            ), (tile, config)
-
-
-@pytest.mark.parametrize("mode", ["restricted", "unrestricted"])
-def test_parallel_period_search_matches_probing_every_candidate(mode):
-    # the pool draws ahead of a local refutation; the listed rest must not
-    for elems in [(0, 1, 3), (0, 1, 2, 4), (0, 2, 3, 7), (0, 1, 5, 6, 8), (0, 3, 4, 5, 8)]:
-        tile = IntegerSet(elems)
-        for budget in (None, 50):
-            config = SearchConfig(
-                candidate_mode=mode, max_modulus_override=150, node_budget=budget,
-                parallelism=2,
-            )
             assert minimal_tiling_period(tile, config) == _probe_every_candidate(
                 tile, config
             ), (tile, config)
@@ -579,28 +537,16 @@ def test_period_search_draws_candidates_lazily(monkeypatch, mode):
     assert drawn == [1]
 
 
-def test_parallel_period_search_draws_within_window(monkeypatch):
-    limit = 2 * worker_count(2) + 1
-    drawn = _count_draws(monkeypatch, limit)
-    config = SearchConfig(
-        candidate_mode="unrestricted", max_modulus_override=10**12, parallelism=2
-    )
-    result = minimal_tiling_period(IntegerSet.of(0, 1), config)
-    assert (result.status, result.period) == ("tiles", 2)
-    assert 1 <= drawn[0] <= limit
-
-
 def test_ordered_map_keeps_input_order():
-    # 9 chunks of 3: more than the window of 2 * 2 tasks, and a short last one
-    got = list(ordered_map(str, iter(range(25)), 2, 3))
-    assert got == [str(i) for i in range(25)]
+    # 6 chunks: more than the window of 2 * 2 tasks, and a short last one
+    n = 5 * CORPUS_CHUNK + 3
+    got = list(ordered_map(str, iter(range(n)), 2))
+    assert got == [str(i) for i in range(n)]
 
 
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(candidate_mode="fancy")
-    with pytest.raises(ValueError):
-        SearchConfig(parallelism=-1)
     with pytest.raises(ValueError):
         SearchConfig(max_modulus_override=0)
     with pytest.raises(ValueError):
