@@ -22,6 +22,7 @@ s-th roots of unity.
 from __future__ import annotations
 
 import functools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -309,9 +310,9 @@ def _vanishes(terms: dict[int, int], s: int) -> bool:
     if s == 1:
         return sum(terms.values()) == 0
     p = smallest_prime_factor(s)
-    q = p
-    while s % (q * p) == 0:
-        q *= p
+    # p^(bit length of s) exceeds s, so the gcd is the whole p-part of s,
+    # in one step rather than one trial division per factor p
+    q = math.gcd(s, p ** s.bit_length())
     step, m = q // p, s // q  # P and m above
     if m == 1:
         groups: dict[int, list[int]] = defaultdict(list)

@@ -16,7 +16,13 @@ packed mask shows a repeated residue. When |A||B| = M and the larger set
 repeats no residue, the shifted copies are first ORed without tracking
 overlaps: a popcount of M means no two copies overlap, and if the two
 halves of the window are also disjoint, the sets tile. Any other outcome
-reruns the overlap-tracking loop, which gives the diagnostics.
+reruns the overlap-tracking loop, which gives the diagnostics. Near
+M = 10^6 each shifted mask is a new 125-250 KB int, around glibc's default
+mmap threshold, so the route's time also depends on how the allocator maps
+and trims those blocks: repeated in one process on the theorem2 tiling at
+n = 2, its median took 65-91 ms, and 35-60 ms with MALLOC_MMAP_THRESHOLD_
+and MALLOC_TRIM_THRESHOLD_ raised to 64 and 128 MB (three runs each,
+Python 3.11, 2 CPUs); the cyclotomic route's 2-4 ms did not move.
 
 The cyclotomic route applies the Coven-Meyerowitz criterion: A + B = Z_M
 iff |A||B| = M and, for every divisor s > 1 of M, the cyclotomic
@@ -26,8 +32,11 @@ the route therefore tests the two sparse mask polynomials separately and
 never forms their length-M product. It first peels arithmetic progressions
 {0, d, ..., (k-1)d} off each set, so that
 A(X) = R(X) * prod (X^(kd) - 1)/(X^d - 1), and reads Phi_s | A off the
-factors: s | kd and s not dividing d. A set that is one whole progression,
-such as an interval, is recognised and peeled in one step. Only when no
+factors: s | kd and s not dividing d. A set that is one whole progression
+is recognised and peeled in one step: an interval by its span alone, since
+n strictly increasing integers spanning n - 1 are consecutive, and a
+progression of step d > 1 by comparing it with its range, since its span
+does not decide ({0, 2, 3, 6} spans 3 steps of 2). Only when no
 factor of either set has Phi_s does the sparse kernel test Phi_s | R. Box
 tiles, the lattice complements and the theorem2 tile factor down to
 R = X^r, so the kernel sees one term instead of |A|, if it runs at all;
@@ -264,10 +273,12 @@ def _progression_factors(elements):
     rest, factors = list(elements), []
     while len(rest) > 1:
         d = rest[1] - rest[0]
-        # one whole progression, peeled as the general peel below would;
-        # the span test keeps the range from outgrowing the set
-        if rest[-1] - rest[0] == d * (len(rest) - 1) and rest == list(
-            range(rest[0], rest[-1] + 1, d)
+        # one whole progression, peeled as the general peel below would. For
+        # d = 1 the span decides, as n strictly increasing integers spanning
+        # n - 1 are an interval; for d > 1 it does not ({0, 2, 3, 6}), and
+        # the span test only keeps the range from outgrowing the set
+        if rest[-1] - rest[0] == d * (len(rest) - 1) and (
+            d == 1 or rest == list(range(rest[0], rest[-1] + 1, d))
         ):
             factors.append((d, len(rest)))
             rest = rest[:1]

@@ -30,10 +30,12 @@ def test_spectrum_examples():
     assert spectrum(IntegerSet.of(0)) == ()
 
 
-@pytest.mark.parametrize("k", [1, 2, 1100])
+@pytest.mark.parametrize("k", [1, 2, 1100, 3000])
 def test_spectrum_of_a_three_adic_tower(k):
     # 1 + X^(3^k) + X^(2*3^k) = Phi_3(X^(3^k)) = Phi_(3^(k+1))(X); a kernel
-    # that recursed once per factor 3 passed the recursion limit at k = 1100
+    # that recursed once per factor 3 passed the recursion limit at k = 1100,
+    # and one that divided once per factor 3 to find 3^k in each of the k
+    # indices took seconds at k = 3000
     tile = IntegerSet.of(0, 3**k, 2 * 3**k)
     assert spectrum(tile) == (3 ** (k + 1),)
     report = cm_report(tile)

@@ -348,6 +348,89 @@ def test_progression_factors_examples():
     )
 
 
+def _progression_factors_by_range(elements):
+    """Reference: _progression_factors as it was when a whole progression
+    of any step, d = 1 included, was recognised by building its range and
+    comparing it with the set; verbatim apart from its name."""
+    rest, factors = list(elements), []
+    while len(rest) > 1:
+        d = rest[1] - rest[0]
+        # one whole progression, peeled as the general peel below would;
+        # the span test keeps the range from outgrowing the set
+        if rest[-1] - rest[0] == d * (len(rest) - 1) and rest == list(
+            range(rest[0], rest[-1] + 1, d)
+        ):
+            factors.append((d, len(rest)))
+            rest = rest[:1]
+            continue
+        members = set(rest)
+        starts = [x for x in rest if x - d not in members]
+        k, left = divmod(len(rest), len(starts))
+        if left or {x + i * d for x in starts for i in range(k)} != members:
+            break
+        factors.append((d, k))
+        rest = starts
+    return dict.fromkeys(rest, 1), factors
+
+
+@st.composite
+def first_gap_one_non_intervals(draw):
+    """Translated intervals of at least 4 elements with one change that
+    keeps the first gap 1: an inner element dropped, or the last one moved
+    further out. Either way the span is no longer |set| - 1."""
+    start, n = draw(st.integers(0, 10**6)), draw(st.integers(4, 2000))
+    elems = list(range(start, start + n))
+    if draw(st.booleans()):
+        del elems[draw(st.integers(2, n - 2))]
+    else:
+        elems[-1] += draw(st.integers(1, 3 * n))
+    return IntegerSet(elems)
+
+
+@st.composite
+def stepped_progressions(draw):
+    """Progressions of step d > 1, whole or with one element moved off the
+    step, so that some keep the span d * (|set| - 1) without being one."""
+    start, d, n = draw(st.integers(0, 10**6)), draw(st.integers(2, 50)), draw(st.integers(2, 300))
+    elems = [start + i * d for i in range(n)]
+    if n > 2 and draw(st.booleans()):
+        elems[draw(st.integers(1, n - 2))] += draw(st.integers(1, d - 1))
+    return IntegerSet(elems)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.integers(0, 10**12), st.integers(1, 20_000)).map(
+            lambda sn: IntegerSet(range(sn[0], sn[0] + sn[1]))
+        ),
+        first_gap_one_non_intervals(),
+        stepped_progressions(),
+        progression_sum_instances().map(lambda instance: instance[0]),
+        chain_runs(),
+        st.sets(st.integers(0, 60), min_size=1, max_size=16).map(IntegerSet.from_iterable),
+    )
+)
+@example(IntegerSet.of(0, 2, 3, 6))  # the span of a progression with first gap 2
+@example(IntegerSet.of(0, 1, 3))  # first gap 1, span one past |set| - 1
+@example(IntegerSet.of(0, 1, 5, 6, 10, 11))  # {0, 1} + {0, 5, 10}: two rounds
+@example(IntegerSet.of(3, 4, 5, 10, 11, 12, 17, 18, 19))  # a whole progression of starts
+@example(UNEQUAL_CHAINS)
+def test_progression_factors_match_the_range_comparison(tile):
+    # only the first round can see first gap 1: later rounds peel the
+    # starts, which hold the least element but never it plus one
+    assert _progression_factors(tile.elements) == _progression_factors_by_range(tile.elements)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 63, 64, 65, 1000, 19781, 20_000])
+def test_progression_factors_peel_a_translated_interval_at_once(n):
+    for start in (0, 1, 7, 10**12):
+        elements = tuple(range(start, start + n))
+        expected = ({start: 1}, [(1, n)] if n > 1 else [])
+        assert _progression_factors(elements) == expected
+        assert _progression_factors_by_range(elements) == expected
+
+
 def test_box_tilings_need_no_kernel_call(monkeypatch):
     # every divisor of a box tiling is settled by a progression factor; the
     # kernel would cost O(p) even on a one-term rest at a large prime p
