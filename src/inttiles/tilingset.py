@@ -36,10 +36,21 @@ factors: s | kd and s not dividing d. A set that is one whole progression
 is recognised and peeled in one step: an interval by its span alone, since
 n strictly increasing integers spanning n - 1 are consecutive, and a
 progression of step d > 1 by comparing it with its range, since its span
-does not decide ({0, 2, 3, 6} spans 3 steps of 2). Only when no
-factor of either set has Phi_s does the sparse kernel test Phi_s | R. Box
-tiles, the lattice complements and the theorem2 tile factor down to
-R = X^r, so the kernel sees one term instead of |A|, if it runs at all;
+does not decide ({0, 2, 3, 6} spans 3 steps of 2). Any other peel needs
+every maximal chain x, x + d, ... to have one length k. For d = 1 the
+chains are runs, slices of the sorted list, so the peel is decided there
+in 2|A|/k subtractions and no set: k (the first run's length, found by
+bisection) divides |A|, every block of k sorted elements spans k - 1, and
+each block starts past a gap, so that runs that touch are not merged. For
+d > 1 two checks reject most sets before any set is built: the least
+element's chain, walked by one bisection per element, has a length k that
+divides |A|, and the greatest element ends a maximal chain of length k,
+two more bisections. A set that passes them is compared in full with
+starts + {0, d, ..., (k-1)d}. A kept peel at least halves the set, so
+all rounds together cost about twice the first. Only when no factor of
+either set has Phi_s does the sparse kernel test Phi_s | R. Box tiles,
+the lattice complements and the theorem2 tile factor down to R = X^r, so
+the kernel sees one term instead of |A|, if it runs at all;
 the column-shifted theorem2 complement, like any set with no progression
 structure, is passed whole.
 
@@ -51,8 +62,10 @@ a disagreement is escalated as a fault rather than resolved silently.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Iterator
 
 from .faults import InconsistentRoutesError
@@ -259,30 +272,72 @@ def _direct_route(tile, complement, modulus):
     return under is None and over is None, under, over
 
 
+def _holds(sorted_elements, x):
+    i = bisect_left(sorted_elements, x)
+    return i < len(sorted_elements) and sorted_elements[i] == x
+
+
 def _progression_factors(elements):
     """Peel progressions {0, d, ..., (k-1)d} off a sorted set, one at a time.
 
     Returns (rest_terms, factors): the mask of what is left, exponent -> 1,
     and the peeled (d, k) pairs, smallest step first, so that the set's
     mask polynomial is rest(X) * prod (X^(kd) - 1)/(X^d - 1). Each peel
-    takes d as the first gap and the starts as the x with x - d not in the
-    set, and is kept only if starts + {0, d, ..., (k-1)d}, built in full,
-    is the set: checking only each chain's end would accept chains of
-    unequal length. A kept peel at least halves the set, so this is O(|A|).
+    takes d as the first gap and is kept exactly when every maximal chain
+    x, x + d, x + 2d, ... of the set has the same length k; the starts of
+    the chains are what is left. A kept peel at least halves the set, so
+    all rounds together cost about twice the first.
+
+    For d = 1 the chains are runs, which are slices of the sorted list: the
+    set peels exactly when k, the length of the first run (found by
+    bisection, O(log |A|)), divides |A|, every block of k sorted elements
+    spans k - 1, and each block starts more than one past the end of the
+    one before, so that runs that touch are not merged. That is 2|A|/k
+    subtractions, and the starts are every k-th element; no set is built.
+    For d > 1 the length k of the least element's chain is found by one
+    bisection per chain member, O(k log |A|), and the peel is rejected
+    unless k divides |A| and the greatest element ends a maximal chain of
+    length k (two more bisections). Every kept peel meets both, since its
+    chains all have length k. A set that passes them builds the set of its
+    elements, takes the starts as the x with x - d not in it, and keeps the
+    peel only if starts + {0, d, ..., (k-1)d}, built in full, is the set:
+    checking only each chain's end would accept chains of unequal length.
     """
     rest, factors = list(elements), []
     while len(rest) > 1:
-        d = rest[1] - rest[0]
+        n, d = len(rest), rest[1] - rest[0]
         # one whole progression, peeled as the general peel below would. For
         # d = 1 the span decides, as n strictly increasing integers spanning
         # n - 1 are an interval; for d > 1 it does not ({0, 2, 3, 6}), and
         # the span test only keeps the range from outgrowing the set
-        if rest[-1] - rest[0] == d * (len(rest) - 1) and (
+        if rest[-1] - rest[0] == d * (n - 1) and (
             d == 1 or rest == list(range(rest[0], rest[-1] + 1, d))
         ):
-            factors.append((d, len(rest)))
+            factors.append((d, n))
             rest = rest[:1]
             continue
+        if d == 1:
+            # rest[i] - i never decreases, and stays rest[0] along the first run
+            k = bisect_right(range(n), rest[0], key=lambda i: rest[i] - i)
+            if n % k:
+                break
+            starts, ends = rest[::k], rest[k - 1 :: k]
+            # a block spans k - 1 only if it is a run, and starts one only
+            # if a gap precedes it: the blocks of {0, 1, 3, 4, 5, 6} each
+            # span 1, but 3, 4, 5, 6 is one run of four
+            if max(map(sub, ends, starts)) != k - 1 or min(map(sub, starts[1:], ends)) < 2:
+                break
+            factors.append((1, k))
+            rest = starts
+            continue
+        # the least element's chain: rest[0], rest[1] = rest[0] + d, ...
+        k, i, x = 2, 1, rest[1] + d
+        while (i := bisect_left(rest, x, i + 1)) < n and rest[i] == x:
+            k, x = k + 1, x + d
+        # the greatest element ends a chain; it must start at top, not before
+        top = rest[-1] - (k - 1) * d
+        if n % k or not _holds(rest, top) or _holds(rest, top - d):
+            break
         members = set(rest)
         starts = [x for x in rest if x - d not in members]
         k, left = divmod(len(rest), len(starts))

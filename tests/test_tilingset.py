@@ -341,6 +341,15 @@ def test_progression_factors_examples():
     assert _progression_factors((4, 9)) == ({4: 1}, [(5, 2)])
     # the span of a progression with first gap 2, but not one
     assert _progression_factors((0, 2, 3, 6)) == (dict.fromkeys((0, 2, 3, 6), 1), [])
+    # d = 1 blocks of two that each span 1, but 3, 4, 5, 6 is one run
+    assert _progression_factors((0, 1, 3, 4, 5, 6)) == (dict.fromkeys((0, 1, 3, 4, 5, 6), 1), [])
+    assert _progression_factors((0, 1, 3, 4, 6, 7)) == ({0: 1}, [(1, 2), (3, 3)])
+    # d = 2: the least chain has 3 elements, the greatest 2
+    unequal_ends = (0, 2, 4, 10, 12, 14, 16, 30, 32)
+    assert _progression_factors(unequal_ends) == (dict.fromkeys(unequal_ends, 1), [])
+    # chains of 2, 4 and 2: 2 divides 8 and both ends fit, the middle does not
+    unequal_middle = (0, 2, 10, 12, 14, 16, 30, 32)
+    assert _progression_factors(unequal_middle) == (dict.fromkeys(unequal_middle, 1), [])
     instance = theorem2_generate(Theorem2Params(7, 11, 13, 2))
     assert _progression_factors(instance.tile.elements) == (
         {0: 1},
@@ -398,7 +407,34 @@ def stepped_progressions(draw):
     return IntegerSet(elems)
 
 
-@settings(max_examples=400, deadline=None)
+@st.composite
+def dense_subsets(draw):
+    """n-element subsets of [0, 3n), n up to 3,000, with a first gap of 1 or
+    more: the peel rejects nearly all of them, most at its first check."""
+    n, gap, rng = draw(st.integers(2, 3000)), draw(st.integers(1, 4)), draw(st.randoms())
+    return IntegerSet([0, gap, *sorted(rng.sample(range(gap + 1, 3 * n), n - 2))])
+
+
+@st.composite
+def chains_of_drawn_lengths(draw):
+    """Chains {x, x + d, ...} of step d >= 1 placed one after another,
+    often of the first chain's length k and often ending with one of length
+    k again, so that some sets pass the checks on the least and the
+    greatest chain and fail only the full one. A chain that starts d past
+    the end of the one before touches it, and the two are one chain of the
+    set."""
+    d, k = draw(st.integers(1, 6)), draw(st.integers(2, 5))
+    lengths = [k, *draw(st.lists(st.one_of(st.just(k), st.integers(1, 8)), min_size=1, max_size=12))]
+    if draw(st.booleans()):
+        lengths.append(k)
+    x, elems = draw(st.integers(0, 10)), []
+    for length in lengths:
+        elems += [x + i * d for i in range(length)]
+        x = elems[-1] + draw(st.integers(1, 3 * d))
+    return IntegerSet(elems)
+
+
+@settings(max_examples=600, deadline=None)
 @given(
     st.one_of(
         st.tuples(st.integers(0, 10**12), st.integers(1, 20_000)).map(
@@ -406,6 +442,8 @@ def stepped_progressions(draw):
         ),
         first_gap_one_non_intervals(),
         stepped_progressions(),
+        dense_subsets(),
+        chains_of_drawn_lengths(),
         progression_sum_instances().map(lambda instance: instance[0]),
         chain_runs(),
         st.sets(st.integers(0, 60), min_size=1, max_size=16).map(IntegerSet.from_iterable),
@@ -415,6 +453,10 @@ def stepped_progressions(draw):
 @example(IntegerSet.of(0, 1, 3))  # first gap 1, span one past |set| - 1
 @example(IntegerSet.of(0, 1, 5, 6, 10, 11))  # {0, 1} + {0, 5, 10}: two rounds
 @example(IntegerSet.of(3, 4, 5, 10, 11, 12, 17, 18, 19))  # a whole progression of starts
+@example(IntegerSet.of(0, 1, 3, 4, 5, 6))  # blocks of two, runs of 2 and 4
+@example(IntegerSet.of(0, 1, 3, 4, 6, 7))  # {0, 1} + {0, 3, 6}
+@example(IntegerSet.of(0, 2, 4, 10, 12, 14, 16, 30, 32))  # least chain 3, greatest 2
+@example(IntegerSet.of(0, 2, 10, 12, 14, 16, 30, 32))  # chains of 2, 4 and 2
 @example(UNEQUAL_CHAINS)
 def test_progression_factors_match_the_range_comparison(tile):
     # only the first round can see first gap 1: later rounds peel the
