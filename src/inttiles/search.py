@@ -15,21 +15,21 @@ with a <= t covers residues in [0, t + E]; one with a > t wraps and covers
 at any larger multiple M' of |A|, moving each residue r >= M - E to
 r + M' - M maps the search onto itself: the same tries in the same order,
 the same collisions and the same node count, and it still never places
-M'/|A| translates. So every larger candidate is refuted, within any node
-budget that this one met, and the period search lists them without
-searching. The margin is tight: with t + 2E - 1 < M, {0, 3, 4, 5, 8} refutes
-in 60 nodes at M = 20 but in 65 at M = 25. This is the window-state
-argument behind Newman's 2^D period bound (J. Number Theory 9, 1977).
+M'/|A| translates. So every larger candidate is refuted, and the period
+search lists them without searching. The margin is tight: with
+t + 2E - 1 < M, {0, 3, 4, 5, 8} refutes in 60 nodes at M = 20 but in 65 at
+M = 25. This is the window-state argument behind Newman's 2^D period bound
+(J. Number Theory 9, 1977).
 
-Without a node budget, a probe at M searches each coset of a subgroup
-once. Let g = gcd(M, *A). Every element of A is a multiple of g, so the
-translate t - a covers only the class of t mod g, and the g cosets of gZ_M
-are tiled independently: A tiles Z_M exactly when A/g tiles Z_{M/g}. This
-is the reduction Coven and Meyerowitz use to assume gcd 1 (J. Algebra 212,
-1999). Write t = g t' + j. Then a <= t exactly when a/g <= t', so the
-search of class j is the search for A/g in Z_{M/g}, shifted by j, trying
-translates in the same order, and the first complement of the full search
-is g B' + {0, ..., g - 1} for the first complement B' of the reduced one.
+A probe at M searches each coset of a subgroup once. Let g = gcd(M, *A).
+Every element of A is a multiple of g, so the translate t - a covers only
+the class of t mod g, and the g cosets of gZ_M are tiled independently:
+A tiles Z_M exactly when A/g tiles Z_{M/g}. This is the reduction Coven
+and Meyerowitz use to assume gcd 1 (J. Algebra 212, 1999). Write
+t = g t' + j. Then a <= t exactly when a/g <= t', so the search of class j
+is the search for A/g in Z_{M/g}, shifted by j, trying translates in the
+same order, and the first complement of the full search is
+g B' + {0, ..., g - 1} for the first complement B' of the reduced one.
 The full search interleaves the cosets, so it searches a dead end in one
 again under every partial placement in the others. Its reach is exactly
 g t'_max, for t'_max the reduced search's: it reaches the state that makes
@@ -39,8 +39,17 @@ exactly when t_max + 2E < M, and the lemma above applies unchanged. One
 case differs: when |A| does not divide M/g the reduced search rejects by
 counting and reaches no t, so it is never local, though the full search
 may be. Every larger candidate still refutes, and the period search
-searches them until one is local, with the same outcomes; only the error
-for too long a listing can name a later M.
+searches them until one is local, with the same outcomes, though under a
+node budget those searches count against it; only the error for too long
+a listing can name a later M.
+
+A node budget counts the nodes of the search that runs: the coset search
+in a probe, the full search in find_complement. The candidates listed after
+a local refutation are refuted by the lemma, which is a proof, so no budget
+applies to them. It could not count them alike anyway: a larger candidate
+can have another g, and then its coset search is another search. {0, 2, 8}
+refutes locally at M = 30 in 30 nodes, searching {0, 1, 4} in Z_15, while
+the unrestricted candidate M = 33, where g = 1, takes 171.
 """
 
 from __future__ import annotations
@@ -143,8 +152,9 @@ def find_complement(
     index, t and an iterator. Masks and orders are built on first use.
 
     This is the full search, over every coset of the subgroup the tile
-    generates with modulus; minimal_tiling_period searches one coset
-    instead when it has no node budget (see the module docstring).
+    generates with modulus, and a node budget counts its nodes;
+    minimal_tiling_period searches one coset instead (see the module
+    docstring).
 
     A modulus past SEARCH_MODULUS_LIMIT that passes the two counting
     checks (|tile| divides it, the tile is injective mod it) raises a
@@ -277,15 +287,15 @@ def _probe(
 ) -> tuple[str, IntegerSet | None, bool]:
     """A candidate's outcome and complement, and whether a refutation is local.
 
-    Without a node budget the search runs on the tile divided by
-    g = gcd(modulus, *tile) at modulus / g, and its complement is expanded
-    over the g cosets (see the module docstring). A budget counts the nodes
-    of the full search, so under one g is 1. A complement of more than
-    ELEMENT_SAFETY_LIMIT elements raises a ValueError before it is expanded.
+    The search runs on the tile divided by g = gcd(modulus, *tile) at
+    modulus / g, and its complement is expanded over the g cosets (see the
+    module docstring). A node budget counts the nodes of that search. A
+    complement of more than ELEMENT_SAFETY_LIMIT elements raises a
+    ValueError before it is expanded.
     """
     if len({x % modulus for x in tile.elements}) != len(tile):
         return "not_injective", None, False
-    g = 1 if node_budget is not None else math.gcd(modulus, *tile.elements)
+    g = math.gcd(modulus, *tile.elements)
     try:
         found, reach = _find_complement(
             tuple(x // g for x in tile.elements), modulus // g, node_budget
@@ -316,16 +326,17 @@ def minimal_tiling_period(
     does not tile the integers at all; a cap override below the default
     only ever yields "inconclusive" in the negative case.
 
-    Without a node budget each candidate is searched in one coset of the
-    subgroup that the tile generates with it, which finds the same outcome
-    and complement as find_complement (see the module docstring). A node
-    budget counts the nodes of find_complement's full search.
+    Each candidate is searched in one coset of the subgroup that the tile
+    generates with it, which finds the same outcome and complement as
+    find_complement (see the module docstring). A node budget counts the
+    nodes of that coset search.
 
     After the first local refutation (see find_complement) every remaining
-    candidate is listed as refuted without a search. A ValueError is raised
-    instead when more than ELEMENT_SAFETY_LIMIT candidates remain, when a
-    probe would search a modulus past SEARCH_MODULUS_LIMIT, or when the
-    complement found has more than ELEMENT_SAFETY_LIMIT elements.
+    candidate is listed as refuted without a search. The listing is a proof,
+    so no node budget applies to it. A ValueError is raised instead when
+    more than ELEMENT_SAFETY_LIMIT candidates remain, when a probe would
+    search a modulus past SEARCH_MODULUS_LIMIT, or when the complement found
+    has more than ELEMENT_SAFETY_LIMIT elements.
     """
     cap = default_cap(tile)
     proof_complete = True

@@ -45,8 +45,9 @@ each block starts past a gap, so that runs that touch are not merged. For
 d > 1 two checks reject most sets before any set is built: the least
 element's chain, walked by one bisection per element, has a length k that
 divides |A|, and the greatest element ends a maximal chain of length k,
-two more bisections. A set that passes them is compared in full with
-starts + {0, d, ..., (k-1)d}. A kept peel at least halves the set, so
+two more bisections. A set that passes them is decided by its chain
+starts and ends, without a second set: it peels when the ends, in order,
+are the starts plus (k - 1)d. A kept peel at least halves the set, so
 all rounds together cost about twice the first. Only when no factor of
 either set has Phi_s does the sparse kernel test Phi_s | R. Box tiles,
 the lattice complements and the theorem2 tile factor down to R = X^r, so
@@ -299,9 +300,13 @@ def _progression_factors(elements):
     unless k divides |A| and the greatest element ends a maximal chain of
     length k (two more bisections). Every kept peel meets both, since its
     chains all have length k. A set that passes them builds the set of its
-    elements, takes the starts as the x with x - d not in it, and keeps the
-    peel only if starts + {0, d, ..., (k-1)d}, built in full, is the set:
-    checking only each chain's end would accept chains of unequal length.
+    elements and takes the chain starts, the x with x - d not in it, and the
+    chain ends, the x with x + d not in it. It keeps the peel exactly when
+    the ends, in order, are the starts plus (k - 1)d: the chains in one
+    class mod d are disjoint and ordered, so the i-th end of a class ends
+    the chain of its i-th start, and each chain has length k. Then there
+    are |A|/k starts, so another count rejects before the ends are listed.
+    No second set is built.
     """
     rest, factors = list(elements), []
     while len(rest) > 1:
@@ -338,10 +343,14 @@ def _progression_factors(elements):
         top = rest[-1] - (k - 1) * d
         if n % k or not _holds(rest, top) or _holds(rest, top - d):
             break
+        # every chain has length k exactly when their ends, in order, are
+        # their starts plus (k - 1)d; that implies n / k starts, so another
+        # count rejects before the ends are listed
         members = set(rest)
         starts = [x for x in rest if x - d not in members]
-        k, left = divmod(len(rest), len(starts))
-        if left or {x + i * d for x in starts for i in range(k)} != members:
+        if len(starts) * k != n or [x + (k - 1) * d for x in starts] != [
+            x for x in rest if x + d not in members
+        ]:
             break
         factors.append((d, k))
         rest = starts

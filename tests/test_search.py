@@ -151,11 +151,11 @@ def test_local_refutation_margin_is_tight(elems, m, larger, nodes, larger_nodes)
 
 
 def test_coset_search_matches_full_search():
-    # without a budget a probe searches A/g at M/g, g = gcd(M, *A); the full
-    # search is the reference on every g * A' + shift, A' within {0..5}. The
-    # full search's reach is g times the coset search's, so both call a
-    # refutation local alike, except where |A| does not divide M/g: there
-    # the coset search refutes by counting and is never local
+    # a probe searches A/g at M/g, g = gcd(M, *A); the full search is the
+    # reference on every g * A' + shift, A' within {0..5}. The full search's
+    # reach is g times the coset search's, so both call a refutation local
+    # alike, except where |A| does not divide M/g: there the coset search
+    # refutes by counting and is never local
     for normalized in enumerate_normalized_sets(5):
         k = len(normalized)
         for g in (1, 2, 3, 4):
@@ -235,17 +235,24 @@ def _limit_address_space():
 
 @pytest.mark.parametrize("budget", [[], ["--node-budget", "1000"]], ids=["coset", "budget"])
 def test_min_period_past_the_size_limits_is_a_usage_error(budget):
-    # {0, 2^40} tiles first at 2^41: without a budget the coset search would
-    # expand a 2^40-element complement, with one the full search would build
-    # 2^41-bit masks; both ended in MemoryError (exit 4)
-    argv = ["min-period", "--set", f"0,{2**40}", *budget]
-    result = subprocess.run(
-        [sys.executable, "-m", "inttiles.cli", *argv], env=subprocess_env(),
-        capture_output=True, text=True, timeout=10, preexec_fn=_limit_address_space,
-    )
-    assert (result.returncode, result.stdout) == (2, "")
-    assert len(result.stderr.splitlines()) == 1
-    assert result.stderr.startswith("error: ")
+    # a budget counts the coset search, so both guards stand with or
+    # without one
+    for elems in (
+        # tiles first at 2^41, where the coset search would expand a
+        # 2^40-element complement; unguarded, a MemoryError (exit 4)
+        f"0,{2**40}",
+        # injective first at 2^26, with g = 1: the search would rotate
+        # 2^26-bit masks, past SEARCH_MODULUS_LIMIT
+        f"0,1,{2**25},{2**25 + 1}",
+    ):
+        argv = ["min-period", "--set", elems, *budget]
+        result = subprocess.run(
+            [sys.executable, "-m", "inttiles.cli", *argv], env=subprocess_env(),
+            capture_output=True, text=True, timeout=10, preexec_fn=_limit_address_space,
+        )
+        assert (result.returncode, result.stdout) == (2, ""), elems
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
 
 
 def _oracle_has_complement(elems, m):
@@ -384,16 +391,39 @@ def test_minimal_period_node_budget_inconclusive():
     assert r.explored[-1][1] == "budget_exhausted"
 
 
-def test_minimal_period_node_budget_counts_the_full_search():
+def test_minimal_period_node_budget_counts_the_coset_search():
     # {0,2048} is injective first at 4096, where the full search places 2048
-    # translates in 2048 nodes; the coset search at 4096 / 2048 needs one
+    # translates in 2048 nodes; the coset search at 4096 / 2048 needs one,
+    # and the budget counts the search that runs
     tile = IntegerSet.of(0, 2048)
-    result = minimal_tiling_period(tile, SearchConfig(node_budget=2047))
-    assert (result.status, result.explored[-1]) == (
-        "inconclusive", (4096, "budget_exhausted")
+    result = minimal_tiling_period(tile, SearchConfig(node_budget=1))
+    assert (result.status, result.period, result.explored[-1]) == (
+        "tiles", 4096, (4096, "tiles")
     )
-    result = minimal_tiling_period(tile, SearchConfig(node_budget=2048))
-    assert (result.status, result.period) == ("tiles", 4096)
+    assert result.complement.elements == tuple(range(2048))
+
+
+def test_coset_search_takes_no_more_nodes_than_the_full_search():
+    # on every injective (set, M) within {0..8}, M <= 60, with g > 1: the
+    # coset search of A/g at M/g takes at most the full search's nodes, so
+    # a budget that the full search met is met by the probe too. Where |A|
+    # does not divide M/g the coset search rejects by counting, in no nodes
+    pairs = 0
+    for tile in enumerate_normalized_sets(8):
+        k = len(tile)
+        for m in range(k, 61, k):
+            g = math.gcd(m, *tile.elements)
+            if g == 1 or len({x % m for x in tile.elements}) != k:
+                continue
+            pairs += 1
+            _, full = _recursive_find_complement(tile.elements, m)
+            coset = 0
+            if (m // g) % k == 0:
+                reduced = tuple(x // g for x in tile.elements)
+                _, coset = _recursive_find_complement(reduced, m // g)
+            assert coset <= full, (tile, m)
+            assert search._probe(tile, m, full)[0] != "budget_exhausted", (tile, m)
+    assert pairs == 324
 
 
 def test_minimal_period_unrestricted_mode():
@@ -418,7 +448,12 @@ def test_restricted_equals_unrestricted_small():
 
 
 def _probe_every_candidate(tile, config):
-    """The period search before local refutations: every candidate searched."""
+    """The period search before local refutations: every candidate searched.
+
+    Without a budget the full search is the reference. A budget counts the
+    nodes of the coset search, so under one the reference searches A/g at
+    M/g itself and expands the complement over the g cosets.
+    """
     cap = default_cap(tile)
     proof_complete = True
     if config.max_modulus_override is not None:
@@ -433,12 +468,16 @@ def _probe_every_candidate(tile, config):
         if len({x % m for x in tile.elements}) != len(tile):
             explored.append((m, "not_injective"))
             continue
+        g = 1 if config.node_budget is None else math.gcd(m, *tile.elements)
         try:
-            found = find_complement(tile, m, config.node_budget)
+            found = find_complement(
+                IntegerSet(x // g for x in tile.elements), m // g, config.node_budget
+            )
         except NodeBudgetExceeded:
             explored.append((m, "budget_exhausted"))
             return PeriodResult("inconclusive", None, None, cap, tuple(explored))
         if found is not None:
+            found = IntegerSet(g * b + j for b in found.elements for j in range(g))
             explored.append((m, "tiles"))
             return PeriodResult("tiles", m, found, cap, tuple(explored))
         explored.append((m, "refuted"))
@@ -447,6 +486,10 @@ def _probe_every_candidate(tile, config):
 
 
 def test_period_search_matches_probing_every_candidate():
+    # the search lists the candidates after a local refutation without a
+    # budget, as the lemma refutes them; the reference probes each under it.
+    # Within {0..8} each of those probes fits the budget too, so the two
+    # agree on every config
     configs = [
         SearchConfig(candidate_mode=mode, max_modulus_override=cap, node_budget=budget)
         for mode, cap in (("restricted", None), ("restricted", 150), ("unrestricted", 150))
@@ -481,8 +524,11 @@ def test_local_refutation_listing_is_bounded():
         # the full search rotates the whole 2^18-bit coverage at each of its
         # 2^17 placements
         (["--set", "0,131072"], 262144),
+        # a budget counts the nodes of the coset search, one here, not the
+        # full search's 65536
+        (["--set", "0,65536", "--node-budget", "1"], 131072),
     ],
-    ids=["0,2048-unrestricted", "0,131072"],
+    ids=["0,2048-unrestricted", "0,131072", "0,65536-budget-1"],
 )
 def test_subgroup_tiles_search_one_coset(argv, period):
     result = subprocess.run(

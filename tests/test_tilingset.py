@@ -350,6 +350,10 @@ def test_progression_factors_examples():
     # chains of 2, 4 and 2: 2 divides 8 and both ends fit, the middle does not
     unequal_middle = (0, 2, 10, 12, 14, 16, 30, 32)
     assert _progression_factors(unequal_middle) == (dict.fromkeys(unequal_middle, 1), [])
+    # chains of 2, 1, 3 and 2: four starts of 8 elements, so only the chain
+    # ends (2, 5, 13, 18 against 2, 7, 11, 18) reject
+    unequal_count = (0, 2, 5, 9, 11, 13, 16, 18)
+    assert _progression_factors(unequal_count) == (dict.fromkeys(unequal_count, 1), [])
     instance = theorem2_generate(Theorem2Params(7, 11, 13, 2))
     assert _progression_factors(instance.tile.elements) == (
         {0: 1},
@@ -434,6 +438,32 @@ def chains_of_drawn_lengths(draw):
     return IntegerSet(elems)
 
 
+@st.composite
+def chains_past_the_bisection_checks(draw):
+    """Chains of one step d > 1 that pass both bisection checks of the peel:
+    the least chain and the greatest have length k, and |set| is a multiple
+    of k. The chains between have drawn lengths, equal to k or not, and lie
+    in drawn classes mod d, so that chains of different classes interleave
+    and only the chain ends decide the peel."""
+    d, k = draw(st.integers(2, 6)), draw(st.integers(2, 5))
+    lengths = draw(st.lists(st.one_of(st.just(k), st.integers(1, 2 * k)), max_size=6))
+    if sum(lengths) % k:
+        lengths.append(-sum(lengths) % k)
+    elems = {i * d for i in range(k)}
+    for length in lengths:
+        # past d, so the first gap stays d; slid up until the chain and a
+        # free cell on either side of it fit
+        x = draw(st.integers(d + 1, max(elems) + 3 * d))
+        while any(x + i * d in elems for i in range(-1, length + 1)):
+            x += d
+        elems.update(x + i * d for i in range(length))
+    x = max(elems) + draw(st.integers(1, 2 * d))
+    while x - d in elems:
+        x += 1
+    elems.update(x + i * d for i in range(k))
+    return IntegerSet.from_iterable(elems)
+
+
 @settings(max_examples=600, deadline=None)
 @given(
     st.one_of(
@@ -444,6 +474,7 @@ def chains_of_drawn_lengths(draw):
         stepped_progressions(),
         dense_subsets(),
         chains_of_drawn_lengths(),
+        chains_past_the_bisection_checks(),
         progression_sum_instances().map(lambda instance: instance[0]),
         chain_runs(),
         st.sets(st.integers(0, 60), min_size=1, max_size=16).map(IntegerSet.from_iterable),
@@ -457,6 +488,7 @@ def chains_of_drawn_lengths(draw):
 @example(IntegerSet.of(0, 1, 3, 4, 6, 7))  # {0, 1} + {0, 3, 6}
 @example(IntegerSet.of(0, 2, 4, 10, 12, 14, 16, 30, 32))  # least chain 3, greatest 2
 @example(IntegerSet.of(0, 2, 10, 12, 14, 16, 30, 32))  # chains of 2, 4 and 2
+@example(IntegerSet.of(0, 2, 5, 9, 11, 13, 16, 18))  # chains of 2, 1, 3 and 2
 @example(UNEQUAL_CHAINS)
 def test_progression_factors_match_the_range_comparison(tile):
     # only the first round can see first gap 1: later rounds peel the
