@@ -44,6 +44,9 @@ CORPUS_SAFETY_LIMIT = 14
 MODULUS_SAFETY_LIMIT = 10**8
 # sets per corpus task: with one per task, --jobs 2 ran about twice as long
 CORPUS_CHUNK = 16
+# one compact encoder for every line written, rather than a new encoder per
+# json.dumps call
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -297,7 +300,7 @@ def _corpus_record(elements: tuple[int, ...]) -> str:
         "period": period.to_json_dict(),
         "analysis": analysis.to_json_dict(),
     }
-    return json.dumps(record, separators=(",", ":"))
+    return _encode_compact(record)
 
 
 def worker_count(jobs: int) -> int:
@@ -426,7 +429,7 @@ def main(argv=None, out=None, err=None) -> int:
         _render_text(payload, out)
         print(f"timing_ms: {envelope['timing_ms']}", file=out)
     else:
-        print(json.dumps(envelope, separators=(",", ":")), file=out)
+        print(_encode_compact(envelope), file=out)
     return code
 
 

@@ -79,7 +79,12 @@ class CmReport:
 
 
 def cm_report(tile: IntegerSet) -> CmReport:
-    """Assemble the full report for a normalized tile."""
+    """Assemble the full report for a normalized tile.
+
+    An empty spectrum gives lcm_sa = 1, and Phi_1 = X - 1 never divides a
+    nonempty set's mask, whose value at 1 is |A| > 0; so phi_lcm_divides is
+    False there without a kernel call.
+    """
     spec = spectrum(tile)
     diam = tile.diameter()
     mask = dict.fromkeys(tile.elements, 1)
@@ -96,7 +101,7 @@ def cm_report(tile: IntegerSet) -> CmReport:
         for index in map(math.prod, itertools.product(*(by_prime[p] for p in chosen)))
     )
     lcm_sa = math.lcm(*spec)
-    phi_lcm_divides = cyclotomic_divides(lcm_sa, mask)
+    phi_lcm_divides = lcm_sa > 1 and cyclotomic_divides(lcm_sa, mask)
     half_bound = 2 * diam >= lcm_sa if phi_lcm_divides else None
     eq3 = None
     if len(tile) > 1:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -272,18 +271,21 @@ def cyclotomic_divides(s: int, f: Mapping[int, int]) -> bool:
     ``dict(poly.terms())``.
 
     Equivalent to f vanishing at a primitive s-th root of unity. Instead of
-    long division, f is reduced mod X^s - 1 and then rewritten over an
-    integral basis of the s-th cyclotomic field, peeling off one whole
-    prime power of s at a time (see _vanishes); the only arithmetic is
-    integer addition, so the test is exact and fast even when s is large
-    and f is sparse.
+    long division, f is reduced mod X^s - 1, its zero sums dropped, and
+    then rewritten over an integral basis of the s-th cyclotomic field,
+    peeling off one whole prime power of s at a time (see _vanishes); the
+    only arithmetic is integer addition, so the test is exact and fast even
+    when s is large and f is sparse. At a prime power s = p^k the reduced
+    map is settled by counting: it vanishes exactly when p divides its
+    number of terms, every class of exponents mod p^(k-1) has one
+    coefficient, and the classes number |terms| / p.
     """
     if s < 1:
         raise ValueError("s must be positive")
-    agg: dict[int, int] = defaultdict(int)
+    agg: dict[int, int] = {}
     for e, c in f.items():
-        if c:
-            agg[e % s] += c
+        r = e % s
+        agg[r] = agg.get(r, 0) + c
     return _vanishes({e: c for e, c in agg.items() if c}, s)
 
 
@@ -302,8 +304,12 @@ def _vanishes(terms: dict[int, int], s: int) -> bool:
     class minus the j = p - 1 class vanishes at eta, a test at order m.
     When s = q is a prime power, K = Q and the classes are single
     coefficients: the terms vanish exactly when each residue class mod P
-    holds p terms with one coefficient. The recursion peels one prime per
-    level, so its depth is the number of distinct primes of s.
+    holds p terms with one coefficient. A class has only p places in
+    [0, s), so that is decided by counting, with no list per class: reject
+    unless p divides the number of terms, reject at the first term whose
+    coefficient differs from its class's first, and accept exactly when the
+    classes times p make the number of terms. The recursion peels one prime
+    per level, so its depth is the number of distinct primes of s.
     """
     if not terms:
         return True
@@ -315,28 +321,35 @@ def _vanishes(terms: dict[int, int], s: int) -> bool:
     q = math.gcd(s, p ** s.bit_length())
     step, m = q // p, s // q  # P and m above
     if m == 1:
-        groups: dict[int, list[int]] = defaultdict(list)
+        if len(terms) % p:
+            return False
+        first: dict[int, int] = {}
         for a, c in terms.items():
-            groups[a % step].append(c)
-        return all(len(cs) == p and cs.count(cs[0]) == p for cs in groups.values())
+            if first.setdefault(a % step, c) != c:
+                return False
+        return len(first) * p == len(terms)
     # only the classes that receive a term are built: an empty class is
     # zero, and p may be far larger than the number of terms
-    classes: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
+    classes: dict[int, dict[int, int]] = {}
     for a, c in terms.items():
-        classes[a % q][a % m] += c
+        d = classes.get(a % q)
+        if d is None:
+            d = classes[a % q] = {}
+        e = a % m
+        d[e] = d.get(e, 0) + c
     top = q - step  # the classes r0 + (p - 1) P
     lasts = {r - top: classes.pop(r) for r in [r for r in classes if r >= top]}
-    others: dict[int, int] = defaultdict(int)
+    others: dict[int, int] = {}
     residual = []
     for r, d in classes.items():
         last = lasts.get(r % step)
         if last is not None:
-            others[r % step] += 1
+            others[r % step] = others.get(r % step, 0) + 1
             for e, c in last.items():
-                d[e] -= c
+                d[e] = d.get(e, 0) - c
         residual.append(d)
     # an empty class j of r0 leaves -last, which vanishes iff last does
-    residual.extend(last for r0, last in lasts.items() if others[r0] < p - 1)
+    residual.extend(last for r0, last in lasts.items() if others.get(r0, 0) < p - 1)
     seen = set()
     for cl in residual:
         reduced = {e: c for e, c in cl.items() if c}

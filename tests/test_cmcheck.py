@@ -143,6 +143,27 @@ def test_cm_report_singleton():
     assert rep.eq3_holds is None
 
 
+def test_cm_report_does_not_test_phi_1(monkeypatch):
+    # {0, 1, 3} has an empty spectrum, so lcm_sa = 1; Phi_1 = X - 1 never
+    # divides a nonempty set's mask, whose value at 1 is |A|, so the kernel
+    # is not asked at s = 1
+    import inttiles.cmcheck as cmcheck
+
+    indices = []
+    kernel = cmcheck.cyclotomic_divides
+
+    def recording(s, f):
+        indices.append(s)
+        return kernel(s, f)
+
+    monkeypatch.setattr(cmcheck, "cyclotomic_divides", recording)
+    rep = cm_report(IntegerSet.of(0, 1, 3))
+    assert rep.spectrum == () and rep.lcm_sa == 1
+    assert rep.phi_lcm_divides is False
+    assert rep.half_bound_holds is None
+    assert indices == [3]  # the spectrum's one test, at 3
+
+
 def test_cm_report_json_omits_absent_fields():
     d = cm_report(IntegerSet.of(0)).to_json_dict()
     assert "half_bound_holds" not in d

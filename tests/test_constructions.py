@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from inttiles.cmcheck import check_t1, check_t2, spectrum
+from inttiles.cmcheck import check_t1, check_t2, cm_report, spectrum
 from inttiles import constructions
 from inttiles.constructions import (
     EPSILON_DENOMINATOR_LIMIT,
@@ -16,7 +16,7 @@ from inttiles.constructions import (
 )
 from inttiles.polyring import factorize
 from inttiles.search import find_complement
-from inttiles.tilingset import is_tiling
+from inttiles.tilingset import IntegerSet, is_tiling
 
 
 # --- parameter validation -------------------------------------------------------
@@ -112,6 +112,16 @@ def test_instance_prime_sets(desk_instance):
     inst = desk_instance
     assert factorize(inst.modulus).primes == (7, 11, 13)
     assert factorize(len(inst.tile)).primes == (7, 11, 13)
+
+
+def test_tile_minimal_period_is_lcm_of_its_spectrum(desk_instance):
+    # M is the period of this one tiling; the tile's own minimal period is
+    # lcm_sa = 1001 = |A|, where A is a complete set of residues
+    tile = desk_instance.tile
+    rep = cm_report(tile)
+    assert rep.spectrum == (7, 11, 13) and rep.t1 and rep.t2
+    assert rep.lcm_sa == 1001 == len(tile)
+    assert is_tiling(tile, IntegerSet.of(0), 1001).tiles
 
 
 def test_instance_determinism(desk_instance):

@@ -467,3 +467,49 @@ def test_vanishes_depth_is_the_number_of_primes(monkeypatch):
         deepest = 0
         assert not cyclotomic_divides(s, {0: 1, 1: 1})
         assert deepest <= len(primes), s
+
+
+@st.composite
+def prime_power_maps(draw):
+    """(f, s) with s = p^k and f a sparse map with exponents up to 3s.
+    A few classes of exponents mod s/p get 1 to p terms each, of one
+    coefficient or of mixed ones, negative included; cancelling pairs
+    c X^e - c X^(e + js) reduce to zero mod X^s - 1."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    s = p ** draw(st.integers(1, {2: 8, 3: 5, 5: 3}.get(p, 2)))
+    step = s // p
+    f: dict[int, int] = {}
+
+    def add(e, c):
+        f[e] = f.get(e, 0) + c
+
+    coeffs = st.integers(-3, 3).filter(bool)
+    for r in draw(st.sets(st.integers(0, step - 1), max_size=4)):
+        c, mixed = draw(coeffs), draw(st.booleans())
+        for j in draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=p)):
+            add(r + j * step + s * draw(st.integers(0, 2)), draw(coeffs) if mixed else c)
+    for _ in range(draw(st.integers(0, 3))):
+        e, c = draw(st.integers(0, s - 1)), draw(coeffs)
+        add(e, c)
+        add(e + s * draw(st.integers(1, 2)), -c)
+    return f, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(prime_power_maps())
+@example(({0: 1, 4: 1}, 8))  # Phi_8 = 1 + X^4
+@example(({0: 1}, 9))  # a class with fewer than p terms
+@example(({0: 1, 3: 1, 6: 1, 1: 1, 4: 1}, 9))  # p does not divide the count
+@example(({0: 1, 3: 1, 6: 1, 1: 1, 4: 1, 2: 1}, 9))  # 3 classes of 3, 2 and 1 terms
+@example(({0: 1, 3: 1, 6: 2, 1: 1, 4: 1, 7: 1}, 9))  # unequal in one class
+@example(({0: 2, 3: 2, 15: 2, 1: -1, 4: -1, 7: -1}, 9))  # two classes, one negative
+@example(({5: 1, 32: -1, 6: 3, 60: -3}, 27))  # reduces to zero
+@example(({0: 1, 7: 0, 16: 1}, 16))  # a zero coefficient; 1 + X^16 = 2 mod X^16 - 1
+@example(({0: 1, 7: -1}, 1))  # f(1) = 0
+@example(({0: 1, 7: 1}, 1))  # f(1) = 2
+@example(({}, 1))
+def test_cyclotomic_divides_matches_division_at_prime_powers(instance):
+    f, s = instance
+    poly = IntPolynomial.from_terms(f)
+    expected = poly.is_zero() or exact_divide(poly, cyclotomic(s)) is not None
+    assert cyclotomic_divides(s, f) == expected
