@@ -7,15 +7,19 @@ twice, once; ORs in that mask shifted by each element of the smaller set,
 collecting the bits already covered as overlaps; and folds the [0, 2M)
 window once at the end (bit r + M is residue r, so a residue set in both
 halves is covered twice). It holds a few M-bit integers, never a length-M
-list. A set of at least 64 elements and M/64 is scattered by a plain loop
-into a bytearray(M), one byte per residue and so at most 64 bytes per
-element, and packed from eight strided slices. A per-element bit loop runs
-for smaller or sparser sets, where the scatter measured no faster (the two
-tie near density M/64, and the loop wins on a few elements), or when the
-packed mask shows a repeated residue. When |A||B| = M and the larger set
-repeats no residue, the shifted copies are first ORed without tracking
-overlaps: a popcount of M means no two copies overlap, and if the two
-halves of the window are also disjoint, the sets tile. Any other outcome
+list. A set of n >= 64 elements is scattered, when it is dense, into a
+row of one byte per integer of [lo, max], where lo is the multiple of M at
+or below its least element; it is dense when that row takes at most 64
+bytes per element, so no allocation grows with the size of the elements.
+The scatter takes no % per element, and the row is packed from eight
+strided slices and folded onto M bits: the OR of its M-bit chunks is the
+mask of residues hit once, and their overlaps are the residues hit twice,
+since distinct integers share a residue only across chunks. A per-element
+bit loop runs for smaller or sparser sets, where the row measured no
+faster (the two tie at 64 bytes per element). When |A||B| = M and the
+larger set repeats no residue, the shifted copies are first ORed without
+tracking overlaps: a popcount of M means no two copies overlap, and if the
+two halves of the window are also disjoint, the sets tile. Any other outcome
 reruns the overlap-tracking loop, which gives the diagnostics. Near
 M = 10^6 each shifted mask is a new 125-250 KB int, around glibc's default
 mmap threshold, so the route's time also depends on how the allocator maps
@@ -111,7 +115,10 @@ class IntegerSet:
         return iter(self.elements)
 
     def __contains__(self, x: int) -> bool:
-        return x in self.elements
+        try:
+            return _holds(self.elements, x)
+        except TypeError:  # "7" or None, which no int orders against
+            return False
 
     def diameter(self) -> int:
         return self.elements[-1] - self.elements[0]
@@ -213,21 +220,19 @@ def _residue_masks(elements, modulus):
     """Bitmasks of the residues of elements mod modulus: hit at least once,
     and hit more than once."""
     n = len(elements)
-    if n >= 64 and n * 64 >= modulus:
-        # dense: one byte per residue, at most 64 per element; byte j::8 of
-        # the marks is bit j of each mask byte. Against the bit loop below,
-        # best of 7 in us (Python 3.11, 2 CPUs): at density M/32 the
-        # scatter wins, 33-46 vs 66-75 at n = 256, M = 8192; at M/64 the two
-        # tie within noise, 17-25 vs 18-27 at n = 64, M = 4096; on few
-        # elements the loop wins, 42-54 vs 7-12 at n = 8, M = 20000.
-        marks = bytearray(modulus)
-        for x in elements:
-            marks[x % modulus] = 1
-        once = 0
-        for j in range(8):
-            once |= int.from_bytes(marks[j::8], "little") << j
-        if once.bit_count() == n:
-            return once, 0
+    if n >= 64:
+        # dense: a row of one byte per integer from lo, the multiple of M at
+        # or below the least element, at most 64 bytes per element. Against
+        # the bit loop below, best and median of 7 in us (Python 3.11,
+        # 2 CPUs): at 32 bytes per element the row wins, 26-27 vs 51-59 at
+        # n = 256, M = 8192, and far from 0 it wins more, 221-295 vs
+        # 1034-1150 at n = M = 4096 from 10^12; at 64 the two tie within
+        # noise, 13-17 vs 13-19 at n = 64, M = 4096, and 45 vs 44-47 at
+        # n = 128 over [0, 2M). Small sets skip the row arithmetic.
+        lo = elements[0] - elements[0] % modulus
+        size = elements[-1] + 1 - lo
+        if size <= 64 * n:
+            return _folded_row(elements, lo, size, modulus)
     once = bytearray((modulus + 7) >> 3)
     twice = bytearray(len(once))
     for x in elements:
@@ -237,6 +242,40 @@ def _residue_masks(elements, modulus):
             twice[i] |= bit
         once[i] |= bit
     return int.from_bytes(once, "little"), int.from_bytes(twice, "little")
+
+
+def _folded_row(elements, lo, size, modulus):
+    """_residue_masks of sorted elements in [lo, lo + size), lo a multiple
+    of modulus, read off one byte per integer of that row."""
+    # indexing by the element itself took about 30 ns an element, against
+    # 60 with x - lo and 80 with x % M (10^4 elements, Python 3.11)
+    marks = bytearray(size)
+    if lo:
+        for x in elements:
+            marks[x - lo] = 1
+    else:
+        for x in elements:
+            marks[x] = 1
+    # byte j::8 of the marks is bit j of each byte of the row
+    once = 0
+    for j in range(8):
+        once |= int.from_bytes(marks[j::8], "little") << j
+    # bit r + kM of the row is residue r. The elements are distinct, so a
+    # residue is hit twice only where two M-bit chunks of the row overlap.
+    # Fold the two halves of a window of M * 2^k bits onto each other down
+    # to M bits: each level reads the row once, where peeling the chunks
+    # one at a time would copy the rest of the row at every chunk.
+    width, twice = modulus, 0
+    while width < size:
+        width <<= 1
+    while width > modulus:
+        width >>= 1
+        low = (1 << width) - 1
+        high = once >> width
+        once &= low
+        twice = (twice & low) | (twice >> width) | (once & high)
+        once |= high
+    return once, twice
 
 
 def _lowest_bit(mask):

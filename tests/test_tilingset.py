@@ -58,6 +58,15 @@ def test_integer_set_basics():
     assert 5 in a and 6 not in a
 
 
+def test_integer_set_contains_each_element_and_nothing_else():
+    a = IntegerSet.of(2, 3, 7, 11, 10**15)
+    below, gaps, above = [-1, 0, 1], [4, 5, 6, 8, 9, 10, 12, 10**15 - 1], [10**15 + 1]
+    assert all(x in a for x in a.elements)
+    assert not any(x in a for x in below + gaps + above)
+    # an equal float is a member; a value no int orders against is not
+    assert 7.0 in a and "7" not in a and None not in a
+
+
 def test_normalize_examples():
     assert IntegerSet.of(5, 7).normalize().elements == (0, 2)
     a = IntegerSet.of(0, 1, 3)
@@ -602,12 +611,16 @@ def test_direct_route_matches_counting(instance):
 @st.composite
 def dense_cutoff_pairs(draw):
     """Pairs with M up to 2*10^4 on both sides of the dense residue-mask
-    cutoff (|large| >= 64 and |large| * 64 >= M): translated intervals,
-    among them copies of Z_M and runs of M + 1 that cover a residue twice;
-    random elements up to 4M whose residues may collide; and |A||B| = M
-    pairs {0..k-1} + {0, k, ...}, lifted, that tile or have one repeated
-    residue in either set, so that the popcount certificate both holds and
-    falls back."""
+    cutoff (|large| >= 64 and a row [lo, max(large)] of at most 64 integers
+    per element, lo the multiple of M at or below min(large)): translated
+    intervals, among them copies of Z_M and runs of M + 1 that cover a
+    residue twice; random elements in rows of M to 4M, the top of the row
+    among them: as many as the cutoff allows and one fewer or more, or a
+    quarter or half of the row, so that residues repeat up to four times
+    inside the dense row; and |A||B| = M pairs {0..k-1} + {0, k, ...},
+    lifted, that tile or have one repeated residue in either set, so that
+    the popcount certificate both holds and falls back. Either set may then
+    move by a multiple of M up to 10^12, which moves lo and keeps the row."""
     rng = draw(st.randoms(use_true_random=False))
     m = draw(st.integers(1, 20000))
     kind = draw(st.sampled_from(("interval", "random", "matched")))
@@ -617,8 +630,14 @@ def dense_cutoff_pairs(draw):
         a = range(t, t + n)
         b = rng.sample(range(3 * m), rng.randint(1, min(3, 3 * m)))
     elif kind == "random":
-        n = draw(st.sampled_from((m // 64 - 1, m // 64, m // 64 + 1, 63, 64)))
-        a = rng.sample(range(4 * m), min(max(1, n), 4 * m))
+        row = rng.randint(1, 4) * m
+        cut = row // 64
+        n = draw(st.sampled_from((cut - 1, cut, cut + 1, 63, 64, row // 4, row // 2)))
+        n = min(max(1, n), row)
+        # the top of the row and n - 1 elements below it; Hypothesis' own
+        # sample cannot draw more than 8,192
+        below = random.Random(rng.getrandbits(64)).sample(range(row - 1), n - 1)
+        a = [row - 1, *below]
         b = rng.sample(range(4 * m), rng.randint(1, min(4, 4 * m)))
     else:
         k = rng.choice(divisors(m))
@@ -629,11 +648,22 @@ def dense_cutoff_pairs(draw):
             repeated[0] = repeated[1] + 3 * m  # above every other element
         ta, tb = rng.randrange(m), rng.randrange(m)
         a, b = [x + ta for x in a], [x + tb for x in b]
-    return IntegerSet.from_iterable(a), IntegerSet.from_iterable(b), m
+    far = rng.randrange(10**12 // m + 1) * m
+    lift_a, lift_b = (draw(st.sampled_from((0, m, far))) for _ in "ab")
+    return (
+        IntegerSet.from_iterable(x + lift_a for x in a),
+        IntegerSet.from_iterable(x + lift_b for x in b),
+        m,
+    )
 
 
 M_LARGE = 19781  # prime
 Z_M_COPY = IntegerSet(range(777, 777 + M_LARGE))
+# 64 elements whose row [0, max] is 64 * 64 integers long (the dense row) or
+# one longer (the bit loop), with residue 0 hit once or twice
+AT_CUTOFF = IntegerSet([*range(0, 4032, 64), 4095])
+PAST_CUTOFF = IntegerSet([*range(0, 4032, 64), 4096])
+FAR = 10**12
 
 
 @settings(max_examples=150, deadline=None)
@@ -645,13 +675,22 @@ Z_M_COPY = IntegerSet(range(777, 777 + M_LARGE))
 @example(  # |A||B| = M, a residue repeated in the larger set
     (IntegerSet([*range(5999), 5998 + 12000]), IntegerSet.of(0, 6000), 12000)
 )
-# 64 elements at the dense cutoff M = 64 * 64 (the bytearray scatter) and
-# one past it (the bit loop), all residues distinct or one repeated, which
-# makes the dense branch fall back to the bit loop
 @example((IntegerSet(range(0, 4096, 64)), IntegerSet(range(64)), 4096))  # tiles
-@example((IntegerSet([*range(0, 4032, 64), 4096]), IntegerSet(range(64)), 4096))
-@example((IntegerSet(range(0, 4096, 64)), IntegerSet(range(64)), 4097))
-@example((IntegerSet([*range(0, 4032, 64), 4097]), IntegerSet(range(64)), 4097))
+@example((AT_CUTOFF, IntegerSet(range(64)), 4095))  # dense, 0 twice
+@example((AT_CUTOFF, IntegerSet(range(64)), 4096))  # dense, distinct
+@example((PAST_CUTOFF, IntegerSet(range(64)), 4096))  # bit loop, 0 twice
+@example((PAST_CUTOFF, IntegerSet(range(64)), 4097))  # bit loop, distinct
+# the same rows far from 0, where lo is a multiple of M near 10^12
+@example((AT_CUTOFF.translate(FAR // 4095 * 4095), IntegerSet(range(64)), 4095))
+@example((PAST_CUTOFF.translate(FAR // 4096 * 4096), IntegerSet(range(64)), 4096))
+# rows past 2M, folded twice, with residue 0 in M-bit chunks 1, 2 and 3
+# (from 0); in chunks 1 and 3 only, which the first fold meets in its upper
+# half; and in chunks 0 and 2 only, in its lower half
+@example((IntegerSet([*range(1, 4096), 4096, 8192, 12288]), IntegerSet.of(0), 4096))
+@example((IntegerSet([*range(1, 4096), 4096, 12288]), IntegerSet.of(0), 4096))
+@example((IntegerSet([*range(4096), 8192]), IntegerSet.of(0), 4096))
+# a translate of Z_M from past lo, over two chunks
+@example((IntegerSet(range(FAR + 5, FAR + 5 + M_LARGE)), IntegerSet.of(3), M_LARGE))
 def test_direct_route_matches_counting_across_dense_cutoff(instance):
     a, b, m = instance
     assert _direct_route(a, b, m) == _counting_direct_route(a, b, m)
@@ -669,6 +708,21 @@ def test_is_tiling_memory_below_two_bytes_per_residue():
         tracemalloc.stop()
     assert verdict.tiles
     assert peak < 2 * modulus  # a counting list of M ints takes 8 bytes each
+
+
+def test_dense_row_memory_does_not_grow_with_the_elements():
+    # the row starts at the multiple of M at or below min(A), so a dense set
+    # far from 0 costs what it costs at 0, not 10^15 bytes
+    n = 4096
+    tile = IntegerSet(range(10**15, 10**15 + n))
+    tracemalloc.start()
+    try:
+        verdict = is_tiling(tile, IntegerSet.of(0), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.tiles
+    assert peak < 64 * n + 8 * (n // 8)  # 64 bytes per element, 8 M-bit masks
 
 
 # --- least_period ------------------------------------------------------------
