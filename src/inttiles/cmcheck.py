@@ -4,12 +4,9 @@ The spectrum of a tile A is the set of prime powers p^a whose cyclotomic
 polynomial divides the mask polynomial of A. Condition (T1) compares |A|
 with the product of Phi_{p^a}(1) = p over the spectrum; (T2) requires the
 cyclotomic of every cross-prime product of spectrum elements to divide A
-as well. Both checks are exact. Phi_{p^a} is monic, so by Gauss's lemma
-A(X) / Phi_{p^a}(X) is an integer polynomial when it divides, and p
-divides A(1) = |A|: only the primes of |A| can enter the spectrum. A
-report computes the spectrum once and reads (T1), (T2) and the lcm
-divisibility off it; every divisibility test runs on the sparse mask, an
-exponent -> coefficient map of the elements.
+as well. Both checks are exact. cm_report alone tests spectrum powers,
+each on the sparse mask (an exponent -> coefficient map of the elements),
+and spectrum, check_t1 and check_t2 read their answers off its report.
 """
 
 from __future__ import annotations
@@ -20,28 +17,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .polyring import cyclotomic_divides, euler_phi, factorize, is_prime, smallest_prime_factor
+from .polyring import cyclotomic_divides, euler_phi, factorize, is_prime
 from .tilingset import IntegerSet, json_fields
 
 
 def spectrum(tile: IntegerSet) -> tuple[int, ...]:
-    """Prime powers p^a with Phi_{p^a} dividing the mask polynomial, sorted.
-
-    Phi_{p^a}(1) = p, so by Gauss's lemma p divides |A| = A(1) whenever
-    Phi_{p^a} divides: p runs over the primes of |A|. Only indices with
-    euler_phi(p^a) <= diameter can divide, so a grows while
-    p^(a-1) * (p-1) stays within the diameter.
-    """
-    diam = tile.diameter()
-    mask = dict.fromkeys(tile.elements, 1)
-    found = []
-    for p in factorize(len(tile)).primes:
-        power = p
-        while (power // p) * (p - 1) <= diam:
-            if cyclotomic_divides(power, mask):
-                found.append(power)
-            power *= p
-    return tuple(sorted(found))
+    """Prime powers p^a with Phi_{p^a} dividing the mask polynomial, sorted."""
+    return cm_report(tile).spectrum
 
 
 def check_t1(tile: IntegerSet) -> bool:
@@ -79,37 +61,51 @@ class CmReport:
 
 
 def cm_report(tile: IntegerSet) -> CmReport:
-    """Assemble the full report for a normalized tile.
+    """Assemble the full report for a normalized tile in one pass.
+
+    Phi_{p^a} is monic, so by Gauss's lemma A(X) / Phi_{p^a}(X) is an
+    integer polynomial when it divides, and Phi_{p^a}(1) = p divides
+    A(1) = |A|: only the primes of |A| can enter the spectrum. For each
+    such p the pass tests the powers p^a with euler_phi(p^a) <= diam, the
+    only ones that can divide, and keeps those that do as p's group. (T1)
+    holds when each p has as many powers as its exponent in |A| (by unique
+    factorization, |A| = the product of p over the spectrum), and lcm_sa
+    is the product of the groups' top powers.
 
     An empty spectrum gives lcm_sa = 1, and Phi_1 = X - 1 never divides a
     nonempty set's mask, whose value at 1 is |A| > 0; so phi_lcm_divides is
     False there without a kernel call.
     """
-    spec = spectrum(tile)
     diam = tile.diameter()
     mask = dict.fromkeys(tile.elements, 1)
-    by_prime: dict[int, list[int]] = {}
-    for s in spec:
-        by_prime.setdefault(smallest_prime_factor(s), []).append(s)
-    t1 = math.prod(p ** len(powers) for p, powers in by_prime.items()) == len(tile)
-    # A product whose totient exceeds the diameter cannot divide the mask,
-    # so it settles (T2) without a divisibility test.
+    size = factorize(len(tile))
+    groups = []
+    for p, _ in size:
+        powers, power = [], p
+        while (power // p) * (p - 1) <= diam:
+            if cyclotomic_divides(power, mask):
+                powers.append(power)
+            power *= p
+        groups.append(powers)
+    # A combination with an empty group yields no product. A product whose
+    # totient exceeds the diameter cannot divide the mask, so it settles
+    # (T2) without a divisibility test.
     t2 = all(
         euler_phi(index) <= diam and cyclotomic_divides(index, mask)
-        for k in range(2, len(by_prime) + 1)
-        for chosen in itertools.combinations(sorted(by_prime), k)
-        for index in map(math.prod, itertools.product(*(by_prime[p] for p in chosen)))
+        for k in range(2, len(groups) + 1)
+        for chosen in itertools.combinations(groups, k)
+        for index in map(math.prod, itertools.product(*chosen))
     )
-    lcm_sa = math.lcm(*spec)
+    lcm_sa = math.prod(powers[-1] for powers in groups if powers)
     phi_lcm_divides = lcm_sa > 1 and cyclotomic_divides(lcm_sa, mask)
     half_bound = 2 * diam >= lcm_sa if phi_lcm_divides else None
     eq3 = None
     if len(tile) > 1:
-        p = smallest_prime_factor(len(tile))
+        p = size.primes[0]
         eq3 = p * diam >= (p - 1) * lcm_sa
     return CmReport(
-        spectrum=spec,
-        t1=t1,
+        spectrum=tuple(sorted(itertools.chain.from_iterable(groups))),
+        t1=all(len(powers) == e for powers, (_, e) in zip(groups, size)),
         t2=t2,
         lcm_sa=lcm_sa,
         phi_lcm_divides=phi_lcm_divides,

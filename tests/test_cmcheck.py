@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -143,10 +144,9 @@ def test_cm_report_singleton():
     assert rep.eq3_holds is None
 
 
-def test_cm_report_does_not_test_phi_1(monkeypatch):
-    # {0, 1, 3} has an empty spectrum, so lcm_sa = 1; Phi_1 = X - 1 never
-    # divides a nonempty set's mask, whose value at 1 is |A|, so the kernel
-    # is not asked at s = 1
+@pytest.fixture
+def kernel_indices(monkeypatch):
+    """Every index cm_report passes to the cyclotomic kernel, in order."""
     import inttiles.cmcheck as cmcheck
 
     indices = []
@@ -157,11 +157,27 @@ def test_cm_report_does_not_test_phi_1(monkeypatch):
         return kernel(s, f)
 
     monkeypatch.setattr(cmcheck, "cyclotomic_divides", recording)
+    return indices
+
+
+def test_cm_report_does_not_test_phi_1(kernel_indices):
+    # {0, 1, 3} has an empty spectrum, so lcm_sa = 1; Phi_1 = X - 1 never
+    # divides a nonempty set's mask, whose value at 1 is |A|, so the kernel
+    # is not asked at s = 1
     rep = cm_report(IntegerSet.of(0, 1, 3))
     assert rep.spectrum == () and rep.lcm_sa == 1
     assert rep.phi_lcm_divides is False
     assert rep.half_bound_holds is None
-    assert indices == [3]  # the spectrum's one test, at 3
+    assert kernel_indices == [3]  # the spectrum's one test, at 3
+
+
+def test_cm_report_kernel_calls_over_corpus12(kernel_indices):
+    # one pass tests each prime of |A| at the powers whose totient fits the
+    # diameter, then the (T2) products whose totient fits, then lcm_sa: over
+    # every set within {0..12} that asks the kernel 13,942 times
+    for tile in enumerate_normalized_sets(12):
+        cm_report(tile)
+    assert len(kernel_indices) == 13942
 
 
 def test_cm_report_json_omits_absent_fields():
@@ -224,7 +240,19 @@ def test_cm_report_matches_dense_reference():
     tiles += [diameter_counterexample(7, 11)[0], diameter_counterexample(5, 7)[0]]
     tiles += [
         standard_tile(spec)
-        for spec in ([(2, 2), (3, 1)], [(2, 1), (3, 1), (5, 1)], [(3, 2)], [(2, 3), (3, 1)])
+        for spec in (
+            [(2, 2), (3, 1)], [(2, 1), (3, 1), (5, 1)], [(3, 2)], [(2, 3), (3, 1)],
+            [(2, 2), (3, 1), (5, 1)],
+        )
+    ]
+    # three primes of |A|: the interval has a group for each, and random
+    # sets fail (T1) with short or empty groups
+    tiles.append(IntegerSet(tuple(range(30))))
+    rng = random.Random(25)
+    tiles += [
+        IntegerSet(tuple(sorted(rng.sample(range(3 * n), n)))).normalize()
+        for n in (30, 42, 60)
+        for _ in range(50)
     ]
     t2_failures = 0
     for tile in tiles:
