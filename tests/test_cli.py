@@ -12,8 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import inttiles
 from conftest import subprocess_env
-from inttiles import cli
+from inttiles import cli, cmcheck, constructions
 from inttiles.cli import CORPUS_CHUNK, worker_count
 from inttiles.faults import InconsistentRoutesError
 from inttiles.schemas import CORPUS_RECORD, ENVELOPE, PAYLOAD_SCHEMAS
@@ -141,6 +142,16 @@ def test_check_tiling_modulus_guard(tmp_path, monkeypatch):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "--force" in err
+
+
+@pytest.mark.parametrize(
+    "modulus", [("--modulus", "0"), ("--modulus=-4",)], ids=["zero", "negative"]
+)
+def test_check_tiling_nonpositive_modulus_is_usage_error(modulus):
+    # refused by is_tiling's own check, which no other test reaches
+    code, out, err = run_cli("check-tiling", "--tile", "0", "--complement", "0", *modulus)
+    assert (code, out) == (2, "")
+    assert err == "error: modulus must be positive\n"
 
 
 def test_construct_box():
@@ -570,9 +581,17 @@ def test_refused_inputs_exit_2_at_once(argv, document, tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("reached past the input checks")
 
-    for name in ("theorem2_generate", "standard_tile", "diameter_counterexample",
-                 "is_tiling", "cm_report", "minimal_tiling_period"):
-        monkeypatch.setattr(cli, name, forbidden)
+    # each name is patched where its handler reads it: cmcheck and
+    # constructions are imported inside the handlers that run them
+    for module, name in [
+        (constructions, "theorem2_generate"),
+        (constructions, "standard_tile"),
+        (constructions, "diameter_counterexample"),
+        (cli, "is_tiling"),
+        (cmcheck, "cm_report"),
+        (cli, "minimal_tiling_period"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
     if document is not None:
         path = tmp_path / "input.json"
         path.write_text(document if type(document) is str else json.dumps(document))
@@ -746,17 +765,62 @@ def test_argv_fuzz(run, tmp_path_factory):
 # --- import cost -----------------------------------------------------------------
 
 
-def test_cli_import_leaves_out_process_pools():
-    # serial runs never start a pool; importing one pulls in multiprocessing
+def _loaded_after(script: str, prefixes: tuple[str, ...]) -> list[str]:
+    """The modules starting with one of prefixes that a fresh Python holds
+    after running script."""
     probe = (
-        "import sys, inttiles.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+        f"{script}\nimport json, sys\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefixes!r}))))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=subprocess_env(), capture_output=True, text=True,
         check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return json.loads(result.stdout)
+
+
+_LAZY_MODULES = ("inttiles.cmcheck", "inttiles.constructions")
+
+
+def test_cli_import_leaves_out_process_pools():
+    # serial runs never start a pool; importing one pulls in multiprocessing.
+    # cmcheck and constructions load only in the calls that run them.
+    loaded = _loaded_after(
+        "import inttiles, inttiles.cli", ("concurrent", "multiprocessing", *_LAZY_MODULES)
+    )
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["min-period", "--set", "0,1,3"], []),
+        (["check-tiling", "--tile", "0,1", "--complement", "0,2", "--modulus", "4"], []),
+        (["analyze", "--set", "0,1,3"], ["inttiles.cmcheck"]),
+        (["construct", "box", "--powers", "2^2,3"], ["inttiles.constructions"]),
+    ],
+    ids=["min-period", "check-tiling", "analyze", "construct-box"],
+)
+def test_subcommand_loads_only_its_modules(argv, expected):
+    script = (
+        f"import io\nfrom inttiles import cli\nassert cli.main({argv!r}, out=io.StringIO()) == 0"
+    )
+    assert _loaded_after(script, _LAZY_MODULES) == expected
+
+
+def test_every_public_name_resolves():
+    star: dict = {}
+    exec("from inttiles import *", star)
+    listed = dir(inttiles)
+    for name in inttiles.__all__:
+        value = getattr(inttiles, name)
+        assert name in listed
+        assert star[name] is value
+    # a lazy name is read from its submodule on every access, never cached
+    assert "cm_report" not in vars(inttiles)
+    assert inttiles.cm_report is cmcheck.cm_report
+    with pytest.raises(AttributeError, match="no_such_name"):
+        inttiles.no_such_name
 
 
 # --- closed stdout ---------------------------------------------------------------

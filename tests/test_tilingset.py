@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -123,6 +124,47 @@ def test_is_tiling_symmetry():
     for a, b, m in cases:
         assert is_tiling(IntegerSet(a), IntegerSet(b), m).tiles
         assert is_tiling(IntegerSet(b), IntegerSet(a), m).tiles
+
+
+def test_is_tiling_verdict_is_symmetric():
+    # every field, not only .tiles, and on non-tilings too: the direct route
+    # may shift either set, but the verdict must not depend on which
+    instance = theorem2_generate(Theorem2Params(7, 11, 13, 2))
+    tile, base, complement = instance.tile, instance.complement_base, instance.complement
+    moved = complement.elements[:-1] + (complement.elements[-1] + 1,)
+    cases = [
+        # near misses
+        ((0, 1), (0, 1), 4),
+        ((0, 1, 4, 5), (0, 3), 8),
+        ((0, 2, 3), (0, 3, 6), 9),
+        (tile.elements, moved, instance.modulus),
+        # size mismatches
+        ((0, 1, 2), (0, 2), 5),
+        ((0,), (0, 1, 2), 6),
+        ((0, 1), (0, 2), 5),
+        # repeated residues
+        ((0, 8), (0, 1, 2, 3), 8),
+        ((0, 6), (0, 2, 4), 6),
+        ((1, 7, 9), (0, 2), 6),
+        ((0, 4), (0, 1), 4),
+        ((0, 1, 9), (0, 3, 6), 9),
+        # equal sizes, unequal spans
+        ((0, 1), (0, 2), 4),
+        ((0, 1, 2), (0, 3, 6), 9),
+        ((0, 1, 2), (0, 4, 8), 9),
+        ((0, 1, 5), (0, 3, 7), 9),
+        # the theorem2 tiling at n = 2, before and after the column shift
+        (tile.elements, base.elements, instance.modulus),
+        (tile.elements, complement.elements, instance.modulus),
+    ]
+    rng = random.Random(26)
+    cases += [
+        (a.elements, b.elements, m) for a, b, m in (_random_instance(rng) for _ in range(300))
+    ]
+    for a, b, m in cases:
+        forward = is_tiling(IntegerSet(a), IntegerSet(b), m)
+        backward = is_tiling(IntegerSet(b), IntegerSet(a), m)
+        assert dataclasses.asdict(forward) == dataclasses.asdict(backward), (a, b, m)
 
 
 def test_is_tiling_symmetry_on_corpus(corpus10):
