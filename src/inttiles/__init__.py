@@ -11,10 +11,10 @@ first access, so `import inttiles` loads neither module, and neither does
 the CLI until a subcommand needs one: `analyze` and `corpus` load
 `cmcheck`, `construct` and `counterexample` load `constructions`, and
 `min-period` and `check-tiling` load neither. Their seven frozen
-dataclasses cost about 1 ms each to define: without them,
-`import inttiles, inttiles.cli, inttiles.schemas` went from about 30 to
-22 ms (median of 21 runs under `-X importtime`, with bytecode; Python
-3.11, 2 CPUs).
+dataclasses cost about 1 ms each to define: loading neither module takes
+`import inttiles, inttiles.cli, inttiles.schemas` from about 30 to 22 ms
+(median of 21 runs under `-X importtime`, with bytecode; Python 3.11,
+2 CPUs).
 """
 
 from importlib import import_module as _import_module
@@ -75,8 +75,8 @@ _LAZY = {
 def __getattr__(name):
     # Nothing is cached here: each access reads the submodule's current
     # binding, so a name rebound there (a tracer, a test's monkeypatch) is
-    # seen here too. The submodules themselves resolve as attributes, as
-    # they did when this package imported them eagerly.
+    # seen here too. The submodules resolve as attributes as well, so
+    # `inttiles.cmcheck` works after a bare `import inttiles`.
     if name in _LAZY:
         return getattr(_import_module(f"{__name__}.{_LAZY[name]}"), name)
     if name in _LAZY.values():

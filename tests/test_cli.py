@@ -821,6 +821,9 @@ def test_every_public_name_resolves():
     assert inttiles.cm_report is cmcheck.cm_report
     with pytest.raises(AttributeError, match="no_such_name"):
         inttiles.no_such_name
+    # a submodule is an attribute after a bare `import inttiles`, and loads alone
+    script = "import inttiles\nassert inttiles.cmcheck.cm_report"
+    assert _loaded_after(script, _LAZY_MODULES) == ["inttiles.cmcheck"]
 
 
 # --- closed stdout ---------------------------------------------------------------
