@@ -6,17 +6,9 @@ divisibility test for cyclotomics works on sparse exponent maps instead,
 which keeps it usable for sets with diameters in the hundreds of thousands.
 
 That test, cyclotomic_divides, asks whether f vanishes at a primitive s-th
-root of unity zeta. Write s = p^k * m with p prime and p prime to m, and
-P = p^(k-1). Over K = Q(zeta^(p^k)), a field of m-th roots of unity, the
-p^k-th root zeta^m has minimal polynomial Phi_(p^k)(X) = Phi_p(X^P) of
-degree (p - 1) P, the field degree phi(s) / phi(m). So the only K-linear
-relations among the p^k powers of zeta^m are the P sums over the classes
-r0 + j P, j < p, and a whole prime power of s is peeled in one step,
-leaving tests at order m. At a prime power s, K = Q and f vanishes exactly
-when each residue class mod P holds p terms of one coefficient; at a prime
-s that is all s coefficients present and equal, since
-1 + omega + ... + omega^(s-1) = 0 is the only relation over Q among the
-s-th roots of unity.
+root of unity. It peels one whole prime power p^k of s per level: the
+group rule of _vanishes turns the test at order s into tests at order
+s / p^k, and at a prime power it settles the test by counting terms.
 """
 
 from __future__ import annotations
@@ -208,8 +200,7 @@ def cyclotomic(s: int) -> IntPolynomial:
     Computed inductively: X^s - 1 divided by the product of all lower-index
     cyclotomics whose index divides s. Every division is by a monic
     polynomial and exact, so the result is exact integer arithmetic all the
-    way down. Results are cached; concurrent fills of the same key produce
-    identical values, so sharing the cache across threads is safe.
+    way down. Results are cached.
     """
     if s < 1:
         raise ValueError("s must be positive")
@@ -272,13 +263,9 @@ def cyclotomic_divides(s: int, f: Mapping[int, int]) -> bool:
 
     Equivalent to f vanishing at a primitive s-th root of unity. Instead of
     long division, f is reduced mod X^s - 1, its zero sums dropped, and
-    then rewritten over an integral basis of the s-th cyclotomic field,
-    peeling off one whole prime power of s at a time (see _vanishes); the
-    only arithmetic is integer addition, so the test is exact and fast even
-    when s is large and f is sparse. At a prime power s = p^k the reduced
-    map is settled by counting: it vanishes exactly when p divides its
-    number of terms, every class of exponents mod p^(k-1) has one
-    coefficient, and the classes number |terms| / p.
+    then tested by the group rule of _vanishes, one whole prime power of s
+    at a time; the only arithmetic is integer addition, so the test is
+    exact and fast even when s is large and f is sparse.
     """
     if s < 1:
         raise ValueError("s must be positive")
@@ -300,8 +287,13 @@ def _vanishes(terms: dict[int, int], s: int) -> bool:
     is a basis of K(omega) over K, and the only relations among the q
     powers of omega are omega^r0 * (1 + omega^P + ... + omega^((p-1)P)) = 0,
     one for each r0 < P. So the terms vanish exactly when, for each r0, the
-    p classes a mod q = r0 + j P, j < p, are equal in K; that is when every
-    class minus the j = p - 1 class vanishes at eta, a test at order m.
+    p classes a mod q = r0 + j P, j < p, are equal in K. A class with no
+    term is zero, and p may be far larger than the number of terms, so only
+    the classes that receive a term are built, grouped by r0. When all p
+    classes of a group are present, one of them is the group's reference;
+    otherwise the reference is zero. The terms vanish exactly when every
+    other present class minus its reference vanishes at eta, a test at
+    order m; equal differences are tested once.
     When s = q is a prime power, K = Q and the classes are single
     coefficients: the terms vanish exactly when each residue class mod P
     holds p terms with one coefficient. A class has only p places in
@@ -328,8 +320,6 @@ def _vanishes(terms: dict[int, int], s: int) -> bool:
             if first.setdefault(a % step, c) != c:
                 return False
         return len(first) * p == len(terms)
-    # only the classes that receive a term are built: an empty class is
-    # zero, and p may be far larger than the number of terms
     classes: dict[int, dict[int, int]] = {}
     for a, c in terms.items():
         d = classes.get(a % q)
@@ -337,26 +327,20 @@ def _vanishes(terms: dict[int, int], s: int) -> bool:
             d = classes[a % q] = {}
         e = a % m
         d[e] = d.get(e, 0) + c
-    top = q - step  # the classes r0 + (p - 1) P
-    lasts = {r - top: classes.pop(r) for r in [r for r in classes if r >= top]}
-    others: dict[int, int] = {}
-    residual = []
+    groups: dict[int, list[dict[int, int]]] = {}
     for r, d in classes.items():
-        last = lasts.get(r % step)
-        if last is not None:
-            others[r % step] = others.get(r % step, 0) + 1
-            for e, c in last.items():
-                d[e] = d.get(e, 0) - c
-        residual.append(d)
-    # an empty class j of r0 leaves -last, which vanishes iff last does
-    residual.extend(last for r0, last in lasts.items() if others.get(r0, 0) < p - 1)
+        groups.setdefault(r % step, []).append(d)
     seen = set()
-    for cl in residual:
-        reduced = {e: c for e, c in cl.items() if c}
-        key = frozenset(reduced.items())
-        if key in seen:
-            continue
-        seen.add(key)
-        if not _vanishes(reduced, m):
-            return False
+    for group in groups.values():
+        ref = group.pop() if len(group) == p else {}
+        for d in group:
+            for e, c in ref.items():
+                d[e] = d.get(e, 0) - c
+            reduced = {e: c for e, c in d.items() if c}
+            key = frozenset(reduced.items())
+            if key in seen:
+                continue
+            seen.add(key)
+            if not _vanishes(reduced, m):
+                return False
     return True

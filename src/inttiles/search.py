@@ -252,23 +252,22 @@ def _find_complement(
 def restricted_candidates(size: int, cap: int) -> Iterator[int]:
     """Multiples of size with prime set equal to that of size, ascending, <= cap.
 
-    These are exactly size times the products of its primes, generated as
-    a min-heap stream seeded with size, so candidates come out sorted
-    without materializing a range.
+    These are exactly size times the products of its primes. The min-heap
+    holds (value, index of its last prime) and extends a value only by that
+    prime and larger ones, so each product is made once, from its primes in
+    nondecreasing order, and candidates come out sorted without
+    materializing a range.
     """
     primes = factorize(size).primes
-    heap = [size]
-    seen = {size}
+    heap = [(size, 0)] if size <= cap else []
     while heap:
-        v = heapq.heappop(heap)
-        if v > cap:
-            return
+        v, i = heapq.heappop(heap)
         yield v
-        for p in primes:
-            w = v * p
-            if w <= cap and w not in seen:
-                seen.add(w)
-                heapq.heappush(heap, w)
+        for j in range(i, len(primes)):
+            w = v * primes[j]
+            if w > cap:
+                break  # the primes ascend, so every later product is past cap
+            heapq.heappush(heap, (w, j))
 
 
 def unrestricted_candidates(size: int, cap: int) -> Iterator[int]:

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import jsonschema
 import pytest
@@ -14,10 +15,11 @@ from hypothesis import strategies as st
 
 import inttiles
 from conftest import subprocess_env
-from inttiles import cli, cmcheck, constructions
+from inttiles import cli, cmcheck, constructions, tilingset
 from inttiles.cli import CORPUS_CHUNK, worker_count
-from inttiles.faults import InconsistentRoutesError
+from inttiles.faults import InconsistentRoutesError, InvalidShiftError
 from inttiles.schemas import CORPUS_RECORD, ENVELOPE, PAYLOAD_SCHEMAS
+from inttiles.tilingset import IntegerSet
 
 
 def run_cli(*argv):
@@ -439,6 +441,15 @@ def test_help_exits_0(capsys):
         assert capsys.readouterr() == ("", "")  # nothing on sys.stdout or sys.stderr
 
 
+def test_check_tiling_input_excludes_inline_arguments(tmp_path):
+    path = tmp_path / "tiling.json"
+    path.write_text(json.dumps({"tile": [0], "complement": [0], "modulus": 1}))
+    code, out, err = run_cli("check-tiling", "--input", str(path), "--tile", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --input excludes --tile/--complement/--modulus\n"
+
+
 def test_usage_error_check_tiling_needs_full_triple():
     code, _, err = run_cli("check-tiling", "--tile", "0,1")
     assert code == 2
@@ -464,14 +475,37 @@ def test_inconclusive_exit_code_with_report():
 
 
 def test_internal_fault_exit_code(monkeypatch):
-    def explode(args):
-        raise InconsistentRoutesError("routes disagreed")
+    # is_tiling itself detects the disagreement: the cyclotomic route's
+    # verdict is flipped, and the direct route's is not
+    route = tilingset._cyclotomic_route
 
-    monkeypatch.setitem(cli._HANDLERS, "analyze", explode)
-    code, out, err = run_cli("analyze", "--set", "0,1")
+    def flipped(tile, complement, modulus):
+        verdict, divisor = route(tile, complement, modulus)
+        return not verdict, divisor
+
+    monkeypatch.setattr(tilingset, "_cyclotomic_route", flipped)
+    with pytest.raises(InconsistentRoutesError):
+        tilingset.is_tiling(IntegerSet.of(0, 1), IntegerSet.of(0, 2), 4)
+    code, out, err = run_cli("check-tiling", "--tile", "0,1", "--complement", "0,2", "--modulus", "4")
     assert code == 4
-    assert "internal-consistency fault" in err
     assert out == ""
+    assert err.startswith("internal-consistency fault: ") and err.count("\n") == 1, err
+
+
+def test_invalid_shift_is_internal_fault(monkeypatch):
+    # residues counted twice leave coefficients of 2 after the column shifts
+    class Doubled(Counter):
+        def __init__(self, elements):
+            super().__init__(elements)
+            self.update(elements)
+
+    monkeypatch.setattr(constructions, "Counter", Doubled)
+    with pytest.raises(InvalidShiftError):
+        constructions.theorem2_generate(constructions.Theorem2Params(7, 11, 13, 2))
+    code, out, err = run_cli("construct", "theorem2", "--p", "7,11,13", "--n", "2")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal-consistency fault: ") and err.count("\n") == 1, err
 
 
 def test_library_key_error_is_internal_fault(monkeypatch):

@@ -238,6 +238,10 @@ def _reference_report(tile):
 def test_cm_report_matches_dense_reference():
     tiles = list(enumerate_normalized_sets(12))
     tiles += [diameter_counterexample(7, 11)[0], diameter_counterexample(5, 7)[0]]
+    # the three-prime lift A' + 63 {0, 1} of the (5, 7) set: its (T2)
+    # product 50 and its lcm_sa 2450 are composite indices
+    lift = diameter_counterexample(5, 7)[0].elements
+    tiles.append(IntegerSet(lift + tuple(x + 63 for x in lift)))
     tiles += [
         standard_tile(spec)
         for spec in (

@@ -80,6 +80,25 @@ def test_cyclotomic_rejects_nonpositive():
         cyclotomic(0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: IntPolynomial.monomial(-1),
+        lambda: IntPolynomial.from_terms({-1: 1}),
+        lambda: smallest_prime_factor(1),
+        lambda: factorize(0),
+        lambda: euler_phi(0),
+        lambda: mul_mod_cyclic(IntPolynomial.one(), IntPolynomial.one(), 0),
+        lambda: cyclotomic_divides(0, {}),
+    ],
+    ids=["monomial", "from_terms", "smallest_prime_factor", "factorize", "euler_phi",
+         "mul_mod_cyclic", "cyclotomic_divides"],
+)
+def test_out_of_range_arguments_raise(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 @pytest.mark.parametrize("s", list(range(1, 80)) + [105, 128, 210, 255, 300])
 def test_cyclotomic_matches_sympy(s):
     assert cyclotomic(s).coeffs == sympy_cyclotomic_coeffs(s)
@@ -467,6 +486,33 @@ def test_vanishes_depth_is_the_number_of_primes(monkeypatch):
         deepest = 0
         assert not cyclotomic_divides(s, {0: 1, 1: 1})
         assert deepest <= len(primes), s
+
+
+def test_vanishes_calls_on_the_theorem2_masks(monkeypatch):
+    # equal class differences are tested once. The masks of A, B0 and B of
+    # the (7, 11, 13, 2) construction at every divisor s > 1 of M take 165
+    # kernel calls, and 759 without that dedupe; 171 is the count when each
+    # class was compared with the class r0 + (p - 1) P of its group
+    import inttiles.polyring as polyring
+    from inttiles.constructions import Theorem2Params, theorem2_generate
+
+    instance = theorem2_generate(Theorem2Params(7, 11, 13, 2))
+    masks = [
+        dict.fromkeys(x.elements, 1)
+        for x in (instance.tile, instance.complement_base, instance.complement)
+    ]
+    calls = 0
+    kernel = polyring._vanishes
+
+    def counting(terms, s):
+        nonlocal calls
+        calls += 1
+        return kernel(terms, s)
+
+    monkeypatch.setattr(polyring, "_vanishes", counting)
+    verdicts = [cyclotomic_divides(s, f) for f in masks for s in divisors(instance.modulus)[1:]]
+    assert sum(verdicts) == 45
+    assert calls <= 171
 
 
 @st.composite

@@ -12,6 +12,7 @@ import pytest
 from conftest import enumerate_normalized_sets, subprocess_env
 from inttiles import search
 from inttiles.cli import CORPUS_CHUNK, ordered_map, worker_count
+from inttiles.faults import WitnessViolationError
 from inttiles.polyring import cyclotomic_divides, factorize
 from inttiles.search import (
     ELEMENT_SAFETY_LIMIT,
@@ -628,6 +629,15 @@ def test_top_power_witnesses_example():
     assert cyclotomic_divides(4, dict(tiling.tile.mask_polynomial().terms()))
 
 
+def test_top_power_witnesses_raise_a_fault_without_a_witness(monkeypatch):
+    # a kernel that never divides leaves 2^2 | 4 with no witness, which the
+    # witness lemma rules out: a fault, not a verdict
+    monkeypatch.setattr(search, "cyclotomic_divides", lambda s, f: False)
+    tiling = CyclicTiling(IntegerSet.of(0, 2), IntegerSet.of(0, 1), 4)
+    with pytest.raises(WitnessViolationError, match=r"no witness for 2\^2"):
+        top_power_witnesses(tiling)
+
+
 def test_top_power_witnesses_trivial_modulus():
     tiling = CyclicTiling(IntegerSet.of(0), IntegerSet.of(0), 1)
     assert top_power_witnesses(tiling) == []
@@ -656,6 +666,13 @@ def test_period_bound_check_examples():
         CyclicTiling(IntegerSet.of(0, 2), IntegerSet.of(0, 1), 4)
     )
     assert period_bound_check(CyclicTiling(IntegerSet.of(0), IntegerSet.of(0), 1))
+
+
+def test_period_bound_check_precondition():
+    tiling = CyclicTiling(IntegerSet.of(0, 1), IntegerSet.of(0, 2), 4)
+    assert least_period(tiling.complement, 4) == 2
+    with pytest.raises(ValueError, match="least period"):
+        period_bound_check(tiling)
 
 
 def test_period_bound_check_prime_set_mismatch():
