@@ -73,9 +73,10 @@ from .tilingset import CyclicTiling, IntegerSet, json_fields, least_period
 # into one element per residue it covers.
 ELEMENT_SAFETY_LIMIT = 2**20
 # The largest modulus the complement search takes on. It keeps one M-bit mask
-# per tried element and rotates the coverage at every node: under a budget of
-# 1,000 nodes, {0, 2^23} at M = 2^24 peaked at 35 MB in 11 s and a 64-element
-# tile at 167 MB in 0.8 s; {0, 2^25} at 2^26 took 48 s (Python 3.11, 2 CPUs).
+# per tried element, and every placement and backtrack shifts the coverage of
+# up to M bits: under a budget of 1,000 nodes, {0, 2^23} at M = 2^24 peaked at
+# 21 MB in 1.8 s, as did {0..62, 2^23} in 0.03 s; {0, 2^25} at 2^26 took 7.6 s
+# at 37 MB (Python 3.11.7, 2 CPUs).
 SEARCH_MODULUS_LIMIT = 2**24
 
 
@@ -142,14 +143,21 @@ def find_complement(
     translates, tried in increasing order. The first solution in this
     order is returned, making the result deterministic; None comes with an
     exhaustive-search guarantee. B contains 0 when some element of the
-    tile is 0 mod modulus, as in every normalized tile.
+    tile is 0 mod modulus, as in every normalized tile. A modulus below 1
+    raises a ValueError.
 
-    Coverage is one modulus-bit mask held relative to t (bit j is residue
-    t + j), so translate t - a covers the tile rotated down by a at every
-    node. The search keeps at most |tile| + 1 such masks, one per tried
-    element and the coverage, at most |tile| + 1 try orders of |tile|
-    indices, one per number of elements above t, and per level the placed
-    index, t and an iterator. Masks and orders are built on first use.
+    Coverage is one mask of the residues t..modulus-1 (bit j is residue
+    t + j); every residue below t is covered, so it holds no bits for them.
+    A placement ORs in the translate's mask and shifts the coverage down
+    past the covered run, and a backtrack shifts it back up. Translate
+    t - a has the same mask at every t, the tile rotated down by a. It has
+    a threshold: from t = min(a - b, modulus - max + a) on, for b the next
+    smaller residue and max the largest, it covers a residue below t, so
+    it is counted as a node and rejected without a mask test. The search
+    keeps at most |tile| + 1 masks, one per tried element and the
+    coverage, at most |tile| + 1 try orders of |tile| indices, one per
+    number of elements above t, and per level the placed index, t and an
+    iterator. Masks and orders are built on first use.
 
     This is the full search, over every coset of the subgroup the tile
     generates with modulus, and a node budget counts its nodes;
@@ -166,37 +174,47 @@ def find_complement(
     those searches exactly when it stops this one. The module docstring
     gives the proof and shows that a margin of 2 max(tile) - 1 is too small.
     """
-    return _find_complement(tile.elements, modulus, node_budget)[0]
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
+    k = len(tile)
+    if modulus % k:
+        return None
+    residues = sorted({x % modulus for x in tile.elements})
+    if len(residues) != k:
+        return None  # not injective mod modulus: some residue would double up
+    return _find_complement(residues, modulus, node_budget)[0]
 
 
 def _find_complement(
-    elements: tuple[int, ...], modulus: int, node_budget: int | None
+    residues: list[int], modulus: int, node_budget: int | None
 ) -> tuple[IntegerSet | None, int]:
-    """find_complement's search on a tile's elements, with the largest t reached.
+    """find_complement's search, with the largest t reached.
 
-    The quick rejections report modulus as that t, so they are never local.
+    residues are the tile's distinct residues mod modulus, ascending, and
+    their number divides modulus.
     """
-    k = len(elements)
-    if modulus % k:
-        return None, modulus
-    reduced = sorted({x % modulus for x in elements})
-    if len(reduced) != k:
-        return None, modulus  # not injective mod modulus: some residue would double up
     if modulus > SEARCH_MODULUS_LIMIT:
         raise ValueError(
             f"a complement search modulo {modulus} takes {modulus}-bit masks, "
             f"past the limit {SEARCH_MODULUS_LIMIT}"
         )
-    full = (1 << modulus) - 1
+    k = len(residues)
     base = 0
-    for x in reduced:
+    for x in residues:
         base |= 1 << x
     # Elements are walked by index i into descending. At a residue t with
     # split elements above it, the try order is i = split .. k - 1, then
     # 0 .. split - 1, so translates t - a increase as a falls through the
-    # elements <= t, then through those > t. masks[i] is base rotated down
-    # by descending[i]; orders[split] is that split's try order.
-    descending = reduced[::-1]
+    # elements <= t, then through those > t. With a = descending[i],
+    # masks[i] sets bit x - a for each residue x >= a and bit modulus - a + x
+    # for each x < a; orders[split] is that split's try order. ends[i] is the
+    # least t at which one of those bits stands for a residue below t: the
+    # next smaller residue b lands in [0, t) once t >= a - b, and the top
+    # residue wraps past modulus once t >= modulus - top + a.
+    descending = residues[::-1]
+    top = descending[0]
+    ends = [min(a - b, modulus - top + a) for a, b in zip(descending, descending[1:])]
+    ends.append(modulus - top + descending[-1])
     indices = tuple(range(k))
     masks: list[int | None] = [None] * k
     orders: list[tuple[int, ...] | None] = [None] * (k + 1)
@@ -209,7 +227,7 @@ def _find_complement(
     target = modulus // k
     stack: list[tuple[int, int, Iterator[int]]] = []
     covered = t = reach = nodes = 0
-    split = k - bisect_right(reduced, t)
+    split = k - bisect_right(residues, t)
     orders[split] = indices[split:] + indices[:split]
     untried = iter(orders[split])
     while True:
@@ -217,19 +235,21 @@ def _find_complement(
             nodes += 1
             if nodes > limit:
                 raise NodeBudgetExceeded(f"exceeded {node_budget} nodes at M={modulus}")
+            if t >= ends[i]:
+                continue
             m = masks[i]
             if m is None:
                 a = descending[i]
-                m = masks[i] = ((base >> a) | (base << (modulus - a))) & full
+                m = masks[i] = (base >> a) | (base & ((1 << a) - 1)) << (modulus - a)
             if not covered & m:
                 break
         else:
             if not stack:
                 return None, reach
             i, parent_t, untried = stack.pop()
-            step = t - parent_t
-            covered = ((covered << step) | (covered >> (modulus - step))) & full
-            covered ^= masks[i]
+            # refill the run parent_t..t-1 that the placement covered, then
+            # take masks[i] out
+            covered = (((covered + 1) << (t - parent_t)) - 1) ^ masks[i]
             t = parent_t
             continue
         stack.append((i, t, untried))
@@ -237,28 +257,31 @@ def _find_complement(
             placed = sorted((t - descending[i]) % modulus for i, t, _ in stack)
             return IntegerSet(placed), reach
         covered |= m
-        step = (~covered & (covered + 1)).bit_length() - 1  # the next gap
-        covered = ((covered >> step) | (covered << (modulus - step))) & full
+        step = (covered ^ (covered + 1)).bit_length() - 1  # the covered run from t
+        covered >>= step
         t += step
         if t > reach:
             reach = t
-        split = k - bisect_right(reduced, t)
+        split = k - bisect_right(residues, t)
         order = orders[split]
         if order is None:
             order = orders[split] = indices[split:] + indices[:split]
         untried = iter(order)
 
 
-def restricted_candidates(size: int, cap: int) -> Iterator[int]:
+def restricted_candidates(
+    size: int, cap: int, primes: tuple[int, ...] | None = None
+) -> Iterator[int]:
     """Multiples of size with prime set equal to that of size, ascending, <= cap.
 
-    These are exactly size times the products of its primes. The min-heap
-    holds (value, index of its last prime) and extends a value only by that
-    prime and larger ones, so each product is made once, from its primes in
-    nondecreasing order, and candidates come out sorted without
-    materializing a range.
+    These are exactly size times the products of its primes, which are
+    factored here unless given (ascending). The min-heap holds (value, index
+    of its last prime) and extends a value only by that prime and larger
+    ones, so each product is made once, from its primes in nondecreasing
+    order, and candidates come out sorted without materializing a range.
     """
-    primes = factorize(size).primes
+    if primes is None:
+        primes = factorize(size).primes
     heap = [(size, 0)] if size <= cap else []
     while heap:
         v, i = heapq.heappop(heap)
@@ -275,10 +298,15 @@ def unrestricted_candidates(size: int, cap: int) -> Iterator[int]:
     return iter(range(size, cap + 1, size))
 
 
-def default_cap(tile: IntegerSet) -> int:
-    """(2D)^d with D the diameter and d the number of distinct primes of |A|."""
-    d = factorize(len(tile)).num_distinct_primes()
-    return (2 * tile.diameter()) ** d
+def default_cap(tile: IntegerSet, primes: tuple[int, ...] | None = None) -> int:
+    """(2D)^d with D the diameter and d the number of distinct primes of |A|.
+
+    primes, when given, are the primes of |A|, so that they are not factored
+    again.
+    """
+    if primes is None:
+        primes = factorize(len(tile)).primes
+    return (2 * tile.diameter()) ** len(primes)
 
 
 def _probe(
@@ -288,16 +316,22 @@ def _probe(
 
     The search runs on the tile divided by g = gcd(modulus, *tile) at
     modulus / g, and its complement is expanded over the g cosets (see the
-    module docstring). A node budget counts the nodes of that search. A
-    complement of more than ELEMENT_SAFETY_LIMIT elements raises a
-    ValueError before it is expanded.
+    module docstring). It takes the residues reduced here for the
+    injectivity check, divided by g. Where |tile| does not divide
+    modulus / g the probe refutes by counting, and never locally. A node
+    budget counts the nodes of the search. A complement of more than
+    ELEMENT_SAFETY_LIMIT elements raises a ValueError before it is expanded.
     """
-    if len({x % modulus for x in tile.elements}) != len(tile):
+    k = len(tile)
+    residues = sorted({x % modulus for x in tile.elements})
+    if len(residues) != k:
         return "not_injective", None, False
-    g = math.gcd(modulus, *tile.elements)
+    g = math.gcd(modulus, *residues)
+    if (modulus // g) % k:
+        return "refuted", None, False
     try:
         found, reach = _find_complement(
-            tuple(x // g for x in tile.elements), modulus // g, node_budget
+            [r // g for r in residues], modulus // g, node_budget
         )
     except NodeBudgetExceeded:
         return "budget_exhausted", None, False
@@ -305,9 +339,9 @@ def _probe(
         local = reach + 2 * tile.elements[-1] // g < modulus // g
         return "refuted", None, local
     if g > 1:
-        if modulus // len(tile) > ELEMENT_SAFETY_LIMIT:
+        if modulus // k > ELEMENT_SAFETY_LIMIT:
             raise ValueError(
-                f"the complement at M={modulus} would have {modulus // len(tile)} "
+                f"the complement at M={modulus} would have {modulus // k} "
                 f"elements, more than {ELEMENT_SAFETY_LIMIT}"
             )
         found = IntegerSet(g * b + j for b in found.elements for j in range(g))
@@ -337,13 +371,14 @@ def minimal_tiling_period(
     search a modulus past SEARCH_MODULUS_LIMIT, or when the complement found
     has more than ELEMENT_SAFETY_LIMIT elements.
     """
-    cap = default_cap(tile)
+    primes = factorize(len(tile)).primes
+    cap = default_cap(tile, primes)
     proof_complete = True
     if config.max_modulus_override is not None:
         proof_complete = config.max_modulus_override >= cap
         cap = config.max_modulus_override
     if config.candidate_mode == "restricted":
-        candidates = restricted_candidates(len(tile), cap)
+        candidates = restricted_candidates(len(tile), cap, primes)
     else:
         candidates = unrestricted_candidates(len(tile), cap)
 

@@ -1,3 +1,4 @@
+import bisect
 import heapq
 import itertools
 import json
@@ -116,6 +117,94 @@ def test_find_complement_matches_recursive_search():
                         find_complement(tile, m, node_budget=nodes - 1)
 
 
+def _rotating_find_complement(elements, modulus):
+    """The search before coverage dropped the residues below t, as a
+    reference: (complement, largest t reached, nodes) on an injective tile
+    whose size divides modulus. Coverage is a modulus-bit mask relative to
+    t that keeps ones for the residues below t, wrapped past the top, and
+    it is rotated at every placement and every backtrack."""
+    reduced = sorted({x % modulus for x in elements})
+    k = len(reduced)
+    full = (1 << modulus) - 1
+    base = 0
+    for x in reduced:
+        base |= 1 << x
+    descending = reduced[::-1]
+    indices = tuple(range(k))
+    masks = [None] * k
+    orders = [None] * (k + 1)
+    target = modulus // k
+    stack = []
+    covered = t = reach = nodes = 0
+    split = k - bisect.bisect_right(reduced, t)
+    orders[split] = indices[split:] + indices[:split]
+    untried = iter(orders[split])
+    while True:
+        for i in untried:
+            nodes += 1
+            m = masks[i]
+            if m is None:
+                a = descending[i]
+                m = masks[i] = ((base >> a) | (base << (modulus - a))) & full
+            if not covered & m:
+                break
+        else:
+            if not stack:
+                return None, reach, nodes
+            i, parent_t, untried = stack.pop()
+            step = t - parent_t
+            covered = ((covered << step) | (covered >> (modulus - step))) & full
+            covered ^= masks[i]
+            t = parent_t
+            continue
+        stack.append((i, t, untried))
+        if len(stack) == target:
+            placed = sorted((t - descending[i]) % modulus for i, t, _ in stack)
+            return IntegerSet(placed), reach, nodes
+        covered |= m
+        step = (~covered & (covered + 1)).bit_length() - 1
+        covered = ((covered >> step) | (covered << (modulus - step))) & full
+        t += step
+        if t > reach:
+            reach = t
+        split = k - bisect.bisect_right(reduced, t)
+        order = orders[split]
+        if order is None:
+            order = orders[split] = indices[split:] + indices[:split]
+        untried = iter(order)
+
+
+def test_find_complement_matches_rotating_search():
+    # same complement and reach, and the same node count n: done within a
+    # budget of n, exceeded at n - 1, on every multiple M <= 48 of |A| for
+    # every set within {0..8}, translated by 0, 1, 3 and 50. At 50 every
+    # element exceeds M, and the top element's residue need not be the top
+    # residue, so the thresholds must rest on the residues alone
+    cases = 0
+    for normalized in enumerate_normalized_sets(8):
+        k = len(normalized)
+        for shift in (0, 1, 3, 50):
+            tile = normalized.translate(shift)
+            for m in range(k, 49, k):
+                residues = sorted({x % m for x in tile.elements})
+                if len(residues) != k:
+                    assert find_complement(tile, m) is None
+                    continue
+                cases += 1
+                expected, reach, nodes = _rotating_find_complement(tile.elements, m)
+                found = search._find_complement(residues, m, nodes)
+                assert found == (expected, reach), (tile, m)
+                with pytest.raises(NodeBudgetExceeded):
+                    search._find_complement(residues, m, nodes - 1)
+    assert cases == 9628
+
+
+@pytest.mark.parametrize("modulus", [0, -4])
+def test_find_complement_rejects_a_nonpositive_modulus(modulus):
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        find_complement(IntegerSet.of(0, 1), modulus)
+
+
 def test_local_refutation_refutes_every_larger_modulus():
     # wherever a probe at M flags its refutation as local, every larger
     # multiple of |A| refutes with exactly the node count n of the search at
@@ -170,7 +259,8 @@ def test_coset_search_matches_full_search():
                         # with d = 1 the probe runs this search itself, and
                         # its refutations of {1, 9} and the like are long
                         expected, reach = search._find_complement(
-                            tile.elements, m, 2_000 if d == 1 else None
+                            sorted(x % m for x in tile.elements), m,
+                            2_000 if d == 1 else None,
                         )
                     except NodeBudgetExceeded:
                         continue
@@ -560,8 +650,8 @@ def _count_draws(monkeypatch, limit):
     drawn = [0]
 
     def counting(real):
-        def candidates(size, cap):
-            for m in real(size, cap):
+        def candidates(size, cap, *primes):
+            for m in real(size, cap, *primes):
                 drawn[0] += 1
                 if drawn[0] > limit:
                     raise AssertionError(f"drew more than {limit} candidates")
