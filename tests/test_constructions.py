@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +7,7 @@ from inttiles.cmcheck import check_t1, check_t2, cm_report, spectrum
 from inttiles import constructions
 from inttiles.constructions import (
     EPSILON_DENOMINATOR_LIMIT,
+    Theorem2Instance,
     Theorem2Params,
     diameter_counterexample,
     standard_tile,
@@ -141,13 +141,16 @@ def test_exponent_report(desk_instance):
     assert rep.alpha is None and rep.beta_below_alpha is None
 
 
+def _with_params(instance, params):
+    """instance with its params replaced, rebuilt through the constructor."""
+    return Theorem2Instance(**{**vars(instance), "params": params})
+
+
 def test_exponent_report_with_targets(desk_instance):
     # the targets feed only the report, so reuse the generated instance
-    with_targets = replace(
+    with_targets = _with_params(
         desk_instance,
-        params=Theorem2Params(
-            7, 11, 13, 2, target_beta=Fraction(11, 10), epsilon=Fraction(1, 10)
-        ),
+        Theorem2Params(7, 11, 13, 2, target_beta=Fraction(11, 10), epsilon=Fraction(1, 10)),
     )
     rep = theorem2_exponent_report(with_targets)
     assert rep.alpha == Fraction(29, 25)
@@ -155,7 +158,7 @@ def test_exponent_report_with_targets(desk_instance):
     # 7^(1/10) / 2 < 1, so the prime-growth condition fails at desk scale
     assert rep.prime_growth_ok is False
     # exact comparison sanity: it holds once p1^eps exceeds 2
-    big = replace(desk_instance, params=Theorem2Params(7, 11, 13, 2, epsilon=Fraction(2)))
+    big = _with_params(desk_instance, Theorem2Params(7, 11, 13, 2, epsilon=Fraction(2)))
     assert theorem2_exponent_report(big).prime_growth_ok is True
 
 
@@ -168,7 +171,7 @@ def test_exponent_report_with_targets(desk_instance):
 def test_exponent_report_verdict_at_epsilon_bounds(desk_instance, epsilon):
     # the exact comparison agrees with floats away from the threshold, and
     # stays cheap at the largest epsilon and denominator accepted
-    inst = replace(desk_instance, params=Theorem2Params(7, 11, 13, 2, epsilon=epsilon))
+    inst = _with_params(desk_instance, Theorem2Params(7, 11, 13, 2, epsilon=epsilon))
     expected = (7 ** float(epsilon) / 2) ** 2 > 1.5**1.5
     assert theorem2_exponent_report(inst).prime_growth_ok is expected
 

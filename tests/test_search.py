@@ -205,6 +205,13 @@ def test_find_complement_rejects_a_nonpositive_modulus(modulus):
         find_complement(IntegerSet.of(0, 1), modulus)
 
 
+@pytest.mark.parametrize("node_budget", [0, -5])
+def test_find_complement_rejects_a_nonpositive_node_budget(node_budget):
+    # as SearchConfig does, rather than a NodeBudgetExceeded at the first node
+    with pytest.raises(ValueError, match="node_budget must be positive"):
+        find_complement(IntegerSet.of(0, 1), 4, node_budget)
+
+
 def test_local_refutation_refutes_every_larger_modulus():
     # wherever a probe at M flags its refutation as local, every larger
     # multiple of |A| refutes with exactly the node count n of the search at
