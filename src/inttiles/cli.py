@@ -20,19 +20,16 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import sys
 import time
 from collections import deque
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import islice
-from pathlib import Path
 
 from .faults import InternalFaultError
 from .schemas import SCHEMA_VERSION
-from .tilingset import ELEMENT_SAFETY_LIMIT, IntegerSet, is_tiling, json_fields
+from .tilingset import ELEMENT_SAFETY_LIMIT, IntegerSet, is_tiling
 
 CORPUS_SAFETY_LIMIT = 14
 # check-tiling's bitmask route peaks near 1.5 bytes per residue (tracemalloc
@@ -65,7 +62,8 @@ def _int_array(value, what: str) -> list[int]:
 
 
 def _read_json(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as file:
+        text = file.read()
     try:
         return json.loads(text)
     except RecursionError:
@@ -80,6 +78,9 @@ def _load_set(path: str) -> IntegerSet:
 def _parse_fraction(text: str | None, what: str) -> Fraction | None:
     if text is None:
         return None
+    # here, not at the top: only construct theorem2 reads a fraction
+    from fractions import Fraction
+
     # an exponent such as 1e-99999999 would make Fraction build 10**99999999
     if "e" in text.lower():
         raise ValueError(f"{what} must be a fraction like 11/10 or 0.1, got {text!r}")
@@ -223,7 +224,7 @@ def _run_check_tiling(args):
             f"modulus {modulus} exceeds the safety limit "
             f"{MODULUS_SAFETY_LIMIT}; pass --force to override"
         )
-    return json_fields(is_tiling(tile, complement, modulus)), 0, None
+    return is_tiling(tile, complement, modulus).to_json_dict(), 0, None
 
 
 def _run_min_period(args):
@@ -279,8 +280,8 @@ def _run_construct(args):
         spec.append((int(base), int(exp)))
     _guard_size(spec, ELEMENT_SAFETY_LIMIT, "modulus")
     tile = standard_tile(spec)
-    modulus = math.prod(p**a for p, a in spec)
-    return {"set": list(tile.elements), "modulus": modulus}, 0, None
+    # a complete residue system mod N has N elements
+    return {"set": list(tile.elements), "modulus": len(tile)}, 0, None
 
 
 def _run_counterexample(args):

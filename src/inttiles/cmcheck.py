@@ -17,7 +17,7 @@ from collections import Counter
 from collections.abc import Iterator
 
 from .polyring import Record, cyclotomic_divides, euler_phi, factorize, is_prime
-from .tilingset import IntegerSet, json_fields
+from .tilingset import IntegerSet
 
 
 def spectrum(tile: IntegerSet) -> tuple[int, ...]:
@@ -66,9 +66,6 @@ class CmReport(Record):
             half_bound_holds=half_bound_holds,
             eq3_holds=eq3_holds,
         )
-
-    def to_json_dict(self) -> dict:
-        return json_fields(self)
 
 
 def cm_report(tile: IntegerSet) -> CmReport:
@@ -146,9 +143,6 @@ class FiberDecomposition(Record):
         vars(self).update(
             modulus=modulus, p=p, q=q, p_fibers=p_fibers, q_fibers=q_fibers, unique=unique
         )
-
-    def to_json_dict(self) -> dict:
-        return json_fields(self)
 
 
 def fiber_decompose(

@@ -21,12 +21,15 @@ from collections import Counter
 from fractions import Fraction
 
 from .faults import InvalidShiftError
-from .polyring import Record, factorize, is_prime
-from .tilingset import IntegerSet, is_tiling, json_fields, least_period
+from .polyring import JSON_CONVERTERS, Record, factorize, is_prime
+from .tilingset import IntegerSet, is_tiling, least_period
 
 # epsilon < 3 keeps alpha positive; with epsilon = a/b and b at most this, the
 # exact comparison in theorem2_exponent_report takes powers below 6*b*n.
 EPSILON_DENOMINATOR_LIMIT = 10**4
+
+# a fraction is the JSON string "p/q" (see Record.to_json_dict)
+JSON_CONVERTERS[Fraction] = str
 
 
 class Theorem2Params(Record):
@@ -142,7 +145,7 @@ class Theorem2Instance(Record):
 
     def to_json_dict(self) -> dict:
         d = {
-            "params": json_fields(self.params),
+            "params": self.params.to_json_dict(),
             "M": self.modulus,
             "a": self.shift_a,
             "b": self.shift_b,
@@ -151,7 +154,7 @@ class Theorem2Instance(Record):
             "B": list(self.complement.elements),
             "diam_A": self.diam,
             "log_ratio": self.log_ratio,
-            "checks": json_fields(self.checks),
+            "checks": self.checks.to_json_dict(),
         }
         if self.params.alpha is not None:
             d["alpha"] = str(self.params.alpha)
@@ -253,9 +256,6 @@ class ExponentReport(Record):
             prime_growth_ok=prime_growth_ok,
         )
 
-    def to_json_dict(self) -> dict:
-        return json_fields(self)
-
 
 def theorem2_exponent_report(instance: Theorem2Instance) -> ExponentReport:
     """Diameter bound, achieved exponent, and the sufficient conditions.
@@ -305,9 +305,6 @@ class CounterexampleReport(Record):
             eq3_threshold=eq3_threshold,
             eq3_holds=eq3_holds,
         )
-
-    def to_json_dict(self) -> dict:
-        return json_fields(self)
 
 
 def diameter_counterexample(p: int, q: int) -> tuple[IntegerSet, CounterexampleReport]:

@@ -17,6 +17,10 @@ import functools
 import math
 from collections.abc import Iterable, Iterator, Mapping
 
+# exact type -> its JSON value in Record.to_json_dict; the module that owns a
+# type adds it (tilingset IntegerSet, constructions Fraction)
+JSON_CONVERTERS: dict = {}
+
 
 class Record:
     """Base of the immutable value classes: named fields, compared by value.
@@ -26,6 +30,14 @@ class Record:
     fields are, the hash is that of the field tuple, and the repr is
     Name(field=value, ...). Assigning or deleting an attribute raises
     AttributeError. Pickle and copy restore the fields into vars() directly.
+
+    to_json_dict is the JSON object of every report: keys are the fields in
+    declaration order, and fields that are None are left out. Tuples become
+    arrays (tuples nested in them too), a value whose exact type is in
+    JSON_CONVERTERS becomes what its converter returns, and any other value
+    passes through, so an unexpected type still fails in json.dumps. Types
+    are matched exactly, not by isinstance, to keep this cheap: corpus runs
+    two reports per line.
     """
 
     # __dict__ rather than vars(), which is a builtin call: about 100 ns
@@ -47,6 +59,19 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def to_json_dict(self) -> dict:
+        d = {}
+        for key, value in self.__dict__.items():
+            if value is None:
+                continue
+            kind = type(value)
+            if kind is tuple:
+                value = [list(v) if type(v) is tuple else v for v in value]
+            elif kind in JSON_CONVERTERS:
+                value = JSON_CONVERTERS[kind](value)
+            d[key] = value
+        return d
 
 
 class IntPolynomial(Record):

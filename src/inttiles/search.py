@@ -63,7 +63,7 @@ from itertools import islice
 
 from .faults import WitnessViolationError
 from .polyring import Record, cyclotomic_divides, factorize
-from .tilingset import ELEMENT_SAFETY_LIMIT, CyclicTiling, IntegerSet, json_fields, least_period
+from .tilingset import ELEMENT_SAFETY_LIMIT, CyclicTiling, IntegerSet, least_period
 
 # The largest modulus the complement search takes on. It keeps one M-bit mask
 # per tried element, and every placement and backtrack shifts the coverage of
@@ -75,6 +75,11 @@ SEARCH_MODULUS_LIMIT = 2**24
 
 class NodeBudgetExceeded(Exception):
     """The backtracking search hit a caller-imposed node budget."""
+
+
+def _check_node_budget(node_budget: int | None) -> None:
+    if node_budget is not None and node_budget < 1:
+        raise ValueError("node_budget must be positive")
 
 
 class SearchConfig(Record):
@@ -106,8 +111,7 @@ class SearchConfig(Record):
             raise ValueError(f"unknown candidate mode {self.candidate_mode!r}")
         if self.max_modulus_override is not None and self.max_modulus_override < 1:
             raise ValueError("max_modulus_override must be positive")
-        if self.node_budget is not None and self.node_budget < 1:
-            raise ValueError("node_budget must be positive")
+        _check_node_budget(self.node_budget)
 
 
 class PeriodResult(Record):
@@ -134,9 +138,6 @@ class PeriodResult(Record):
             cap_used=cap_used,
             explored=explored,
         )
-
-    def to_json_dict(self) -> dict:
-        return json_fields(self)
 
 
 def find_complement(
@@ -183,8 +184,7 @@ def find_complement(
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    if node_budget is not None and node_budget < 1:
-        raise ValueError("node_budget must be positive")
+    _check_node_budget(node_budget)
     k = len(tile)
     if modulus % k:
         return None
@@ -413,6 +413,11 @@ def minimal_tiling_period(
     return PeriodResult(status, None, None, cap, tuple(explored))
 
 
+def _require_least_period(tiling: CyclicTiling) -> None:
+    if least_period(tiling.complement, tiling.modulus) != tiling.modulus:
+        raise ValueError("modulus is not the least period of the complement")
+
+
 def top_power_witnesses(tiling: CyclicTiling) -> list[tuple[int, int, int]]:
     """For each prime power p^e exactly dividing M, a witness divisor s.
 
@@ -421,9 +426,8 @@ def top_power_witnesses(tiling: CyclicTiling) -> list[tuple[int, int, int]]:
     complement; its absence would contradict a theorem, so it is raised as
     a fault. Requires least_period(complement, M) == M.
     """
+    _require_least_period(tiling)
     modulus = tiling.modulus
-    if least_period(tiling.complement, modulus) != modulus:
-        raise ValueError("modulus is not the least period of the complement")
     mask = dict.fromkeys(tiling.tile.elements, 1)
     fac = factorize(modulus)
     divs = fac.divisors()
@@ -448,9 +452,8 @@ def period_bound_check(tiling: CyclicTiling) -> bool:
     same prime set as |tile|. A False return on a valid input would
     contradict the bound chain behind the period cap.
     """
+    _require_least_period(tiling)
     modulus = tiling.modulus
-    if least_period(tiling.complement, modulus) != modulus:
-        raise ValueError("modulus is not the least period of the complement")
     if factorize(modulus).primes != factorize(len(tiling.tile)).primes:
         raise ValueError("prime set of modulus differs from prime set of |tile|")
     return modulus <= default_cap(tiling.tile)

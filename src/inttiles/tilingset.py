@@ -69,11 +69,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 from operator import sub
 
 from .faults import InconsistentRoutesError
-from .polyring import IntPolynomial, Record, cyclotomic_divides, divisors
+from .polyring import JSON_CONVERTERS, IntPolynomial, Record, cyclotomic_divides, divisors
 
 # The most entries one call may list: construct box and counterexample build
 # one per residue or pair (construct box --powers 2^20 took 0.34 s and 99 MB
@@ -145,28 +144,8 @@ class IntegerSet(Record):
         return IntPolynomial.from_terms({x: 1 for x in self.elements})
 
 
-def json_fields(report) -> dict:
-    """The JSON object of a report record; every report follows this rule.
-
-    Keys are the fields in declaration order, and fields that are None are
-    left out. Tuples become arrays (tuples nested in them too), an
-    IntegerSet becomes the array of its elements and a Fraction its string
-    "p/q"; other values pass through. Types are matched exactly, not by
-    isinstance, to keep this cheap: corpus runs two reports per line.
-    """
-    d = {}
-    for key, value in vars(report).items():
-        if value is None:
-            continue
-        kind = type(value)
-        if kind is tuple:
-            value = [list(v) if type(v) is tuple else v for v in value]
-        elif kind is IntegerSet:
-            value = list(value.elements)
-        elif kind is Fraction:
-            value = str(value)
-        d[key] = value
-    return d
+# a nested set is the JSON array of its elements (see Record.to_json_dict)
+JSON_CONVERTERS[IntegerSet] = lambda subset: list(subset.elements)
 
 
 class TilingVerdict(Record):
@@ -458,9 +437,6 @@ class CyclicTiling(Record):
             raise ValueError("|tile| * |complement| must equal the modulus")
         if not is_tiling(self.tile, self.complement, self.modulus):
             raise ValueError("not a tiling of Z_modulus")
-
-    def to_json_dict(self) -> dict:
-        return json_fields(self)
 
     @staticmethod
     def from_json_dict(d: dict) -> "CyclicTiling":

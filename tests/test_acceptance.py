@@ -7,6 +7,8 @@ captured output) and enforces the stated tolerances and runtime limits.
 import io
 import random
 import time
+from collections import Counter
+
 import pytest
 
 from inttiles import cli
@@ -209,13 +211,20 @@ def test_criterion_8_two_prime_fiber_suite(corpus_results):
         if decomposition is None:
             failures.append((tile.elements, "no fiber decomposition"))
             continue
-        allowed = {(p - 1) * modulus // p, (q - 1) * modulus // q}
+        # the fibers' residues, as a multiset, are the tile mod M
+        covered = Counter()
         for prime, bases in ((p, decomposition.p_fibers), (q, decomposition.q_fibers)):
             step = modulus // prime
             for base in bases:
-                span = (prime - 1) * step
-                if span not in allowed:
-                    failures.append((tile.elements, f"fiber span {span}"))
+                covered.update(range(base, modulus, step))
+                # the tile's elements in the fiber are one class mod M/prime
+                # and cover its prime residues mod M, so some two of them
+                # differ by a nonzero multiple of M/prime: the step behind (3)
+                members = [x for x in tile.elements if (x - base) % step == 0]
+                if not members or members[-1] - members[0] < (prime - 1) * step:
+                    failures.append((tile.elements, f"{prime}-fiber at {base} spans too little"))
+        if covered != Counter(x % modulus for x in tile.elements):
+            failures.append((tile.elements, "fiber residues differ from the tile mod M"))
         if tile.diameter() * p < (p - 1) * modulus:
             failures.append((tile.elements, "diameter below (p-1)M/p"))
     elapsed = time.perf_counter() - started

@@ -458,6 +458,7 @@ def test_usage_error_check_tiling_needs_full_triple():
 def test_usage_error_missing_input_file():
     code, _, err = run_cli("analyze", "--input", "/nonexistent/set.json")
     assert code == 2
+    assert err == "error: [Errno 2] No such file or directory: '/nonexistent/set.json'\n"
 
 
 def test_usage_error_bad_construct_params():
@@ -801,14 +802,18 @@ def test_argv_fuzz(run, tmp_path_factory):
 
 def _loaded_after(script: str, prefixes: tuple[str, ...]) -> list[str]:
     """The modules starting with one of prefixes that a fresh Python holds
-    after running script."""
+    after running script.
+
+    The child runs with -S: a site .pth file may load typing or pathlib at
+    start-up, which would hide the package's own imports. PYTHONPATH still
+    reaches this inttiles."""
     probe = (
         f"{script}\nimport json, sys\n"
         f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefixes!r}))))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=subprocess_env(), capture_output=True, text=True,
-        check=True,
+        [sys.executable, "-S", "-c", probe], env=subprocess_env(), capture_output=True,
+        text=True, check=True,
     )
     return json.loads(result.stdout)
 
@@ -851,6 +856,8 @@ _CLI_RUNS = [
     ["counterexample", "--p", "5", "--q", "7"],
     ["corpus", "--max-diameter", "3"],
 ]
+# the commands that build no Fraction, in the order of _CLI_RUNS
+_FRACTION_FREE = ("analyze", "check-tiling", "min-period", "corpus")
 
 
 @pytest.mark.parametrize(
@@ -866,6 +873,23 @@ def test_no_dataclasses_or_typing(script):
     # the value classes derive from polyring.Record: dataclasses loads
     # inspect, ast, dis and tokenize, and typing is only ever annotations
     prefixes = ("dataclasses", "typing")
+    assert _loaded_after(script, prefixes) == _loaded_after("pass", prefixes)
+
+
+@pytest.mark.parametrize(
+    "script",
+    ["import inttiles, inttiles.cli"]
+    + [
+        f"import io\nfrom inttiles import cli\nassert cli.main({argv!r}, out=io.StringIO()) == 0"
+        for argv in _CLI_RUNS
+        if argv[0] in _FRACTION_FREE
+    ],
+    ids=["import", *_FRACTION_FREE],
+)
+def test_no_fractions_or_pathlib(script):
+    # only constructions makes a Fraction, so it alone imports fractions
+    # (which loads decimal and numbers); --input is read with open()
+    prefixes = ("fractions", "decimal", "numbers", "pathlib")
     assert _loaded_after(script, prefixes) == _loaded_after("pass", prefixes)
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import inspect
+import json
 import pickle
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 
 from inttiles.cmcheck import cm_report, fiber_decompose
 from inttiles.constructions import (
+    ExponentReport,
     Theorem2Checks,
     Theorem2Instance,
     Theorem2Params,
@@ -81,3 +83,29 @@ def test_record_contract():
             assert type(y) is cls and y == x and list(vars(y)) == list(fields)
     assert SearchConfig(node_budget=5) != SearchConfig(node_budget=6)
     assert IntegerSet.of(0, 1) != IntPolynomial((0, 1))
+
+
+def test_to_json_dict_rule():
+    # every record but Theorem2Instance, whose payload renames keys, writes
+    # its fields in order, leaves None out, and turns tuples into arrays, a
+    # set into its elements and a fraction into "p/q"
+    overriding = [cls for cls in Record.__subclasses__() if "to_json_dict" in vars(cls)]
+    assert overriding == [Theorem2Instance]
+    for x in _records():
+        if type(x) is Theorem2Instance:
+            continue
+        expected = {
+            key: list(value.elements) if type(value) is IntegerSet
+            else str(value) if type(value) is Fraction
+            else json.loads(json.dumps(value))
+            for key, value in vars(x).items()
+            if value is not None
+        }
+        assert x.to_json_dict() == expected, type(x)
+        assert list(x.to_json_dict()) == list(expected)
+        if type(x) is ExponentReport:
+            assert x.to_json_dict()["alpha"] == "29/25"
+    # any other type passes through, so json.dumps refuses it
+    odd = Theorem2Checks(object(), True, 4, True, 2, True, True, True)
+    with pytest.raises(TypeError):
+        json.dumps(odd.to_json_dict())
