@@ -29,11 +29,9 @@ from .faults import (
 from .polyring import (
     Factorization,
     IntPolynomial,
-    cyclotomic,
     cyclotomic_divides,
     divisors,
     euler_phi,
-    exact_divide,
     factorize,
     mul_mod_cyclic,
 )
@@ -107,13 +105,11 @@ __all__ = [
     "check_t1",
     "check_t2",
     "cm_report",
-    "cyclotomic",
     "cyclotomic_divides",
     "default_cap",
     "diameter_counterexample",
     "divisors",
     "euler_phi",
-    "exact_divide",
     "factorize",
     "fiber_decompose",
     "find_complement",

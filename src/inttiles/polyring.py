@@ -1,19 +1,17 @@
-"""Exact arithmetic over integer polynomials, cyclotomics included.
+"""Records, integer factoring, and the one exact cyclotomic test.
 
-Coefficients are Python ints, so nothing here ever rounds or overflows.
-Polynomials are dense coefficient tuples (constant term first); the
-divisibility test for cyclotomics works on sparse exponent maps instead,
-which keeps it usable for sets with diameters in the hundreds of thousands.
-
-That test, cyclotomic_divides, asks whether f vanishes at a primitive s-th
-root of unity. It peels one whole prime power p^k of s per level: the
-group rule of _vanishes turns the test at order s into tests at order
-s / p^k, and at a prime power it settles the test by counting terms.
+Everything here is exact arithmetic on Python ints. Record is the base of
+every value class. cyclotomic_divides, the library's one test for
+Phi_s | f, works on sparse exponent maps, so it stays usable for sets with
+diameters in the hundreds of thousands: the group rule of _vanishes peels
+one whole prime power p^k of s per level, and at a prime power it settles
+the test by counting terms. IntPolynomial, a dense coefficient tuple, is
+only the record that IntegerSet.mask_polynomial returns and mul_mod_cyclic
+takes.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterable, Iterator, Mapping
 
@@ -78,9 +76,7 @@ class IntPolynomial(Record):
     """Integer polynomial as a dense coefficient tuple.
 
     ``coeffs[i]`` is the coefficient of X^i. Trailing zeros are stripped on
-    construction, so the highest-index coefficient is nonzero unless the
-    polynomial is zero. The zero polynomial has an empty tuple and its
-    degree is None rather than a sentinel integer.
+    construction, so the zero polynomial has the empty tuple.
     """
 
     def __init__(self, coeffs: Iterable[int] = ()):
@@ -88,16 +84,6 @@ class IntPolynomial(Record):
         while cs and cs[-1] == 0:
             cs.pop()
         vars(self)["coeffs"] = tuple(cs)
-
-    @staticmethod
-    def one() -> "IntPolynomial":
-        return IntPolynomial((1,))
-
-    @staticmethod
-    def monomial(exponent: int, coefficient: int = 1) -> "IntPolynomial":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        return IntPolynomial([0] * exponent + [coefficient])
 
     @staticmethod
     def from_terms(terms: Mapping[int, int]) -> "IntPolynomial":
@@ -111,50 +97,9 @@ class IntPolynomial(Record):
             cs[e] += c
         return IntPolynomial(cs)
 
-    @property
-    def degree(self) -> int | None:
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def terms(self) -> Iterator[tuple[int, int]]:
         """Nonzero (exponent, coefficient) pairs in increasing exponent order."""
         return ((e, c) for e, c in enumerate(self.coeffs) if c)
-
-    def __call__(self, x: int) -> int:
-        r = 0
-        for c in reversed(self.coeffs):
-            r = r * x + c
-        return r
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial([-c for c in self.coeffs])
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        other_terms = list(other.terms())
-        for i, a in self.terms():
-            for j, b in other_terms:
-                out[i + j] += a * b
-        return IntPolynomial(out)
 
 
 class Factorization(Record):
@@ -241,55 +186,6 @@ def euler_phi(s: int) -> int:
     for p, _ in factorize(s):
         v -= v // p
     return v
-
-
-@functools.lru_cache(maxsize=None)
-def cyclotomic(s: int) -> IntPolynomial:
-    """The s-th cyclotomic polynomial.
-
-    Computed inductively: X^s - 1 divided by the product of all lower-index
-    cyclotomics whose index divides s. Every division is by a monic
-    polynomial and exact, so the result is exact integer arithmetic all the
-    way down. Results are cached.
-    """
-    if s < 1:
-        raise ValueError("s must be positive")
-    f = IntPolynomial.from_terms({s: 1, 0: -1})
-    for d in divisors(s):
-        if d < s:
-            q = exact_divide(f, cyclotomic(d))
-            assert q is not None
-            f = q
-    return f
-
-
-def exact_divide(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial | None:
-    """Quotient f/g over the integers, or None when g does not divide f.
-
-    g must be monic (every divisor used here is a cyclotomic or X^N - 1).
-    A None result is an expected outcome, not an error.
-    """
-    if g.is_zero():
-        raise ValueError("division by the zero polynomial")
-    if not g.is_monic():
-        raise ValueError("divisor must be monic")
-    if f.is_zero():
-        return IntPolynomial()
-    assert f.degree is not None and g.degree is not None
-    if f.degree < g.degree:
-        return None
-    rem = list(f.coeffs)
-    dg = g.degree
-    quo = [0] * (f.degree - dg + 1)
-    for i in range(len(quo) - 1, -1, -1):
-        c = rem[i + dg]
-        if c:
-            quo[i] = c
-            for j, b in enumerate(g.coeffs):
-                rem[i + j] -= c * b
-    if any(rem[:dg]):
-        return None
-    return IntPolynomial(quo)
 
 
 def mul_mod_cyclic(f: IntPolynomial, g: IntPolynomial, modulus: int) -> IntPolynomial:

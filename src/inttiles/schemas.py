@@ -1,132 +1,143 @@
 """Published JSON schemas for every CLI report payload.
 
 The envelope carries schema_version "1"; payloads validate against the
-per-subcommand schema below. Kept as plain dicts so downstream tooling can
-import them without extra dependencies.
+per-subcommand schema below. Every object but the envelope's payload and
+normalization is closed: it lists each key its record writes, and a key it
+does not list fails. Kept as plain dicts so downstream tooling can import
+them without extra dependencies.
 """
 
 SCHEMA_VERSION = "1"
 
 _INT_ARRAY = {"type": "array", "items": {"type": "integer", "minimum": 0}}
+_BOOLEAN = {"type": "boolean"}
+_INTEGER = {"type": "integer"}
+_POSITIVE = {"type": "integer", "minimum": 1}
 
-PERIOD_PAYLOAD = {
-    "type": "object",
-    "properties": {
+
+def _closed(properties: dict, *optional: str) -> dict:
+    """An object with exactly these keys, each required unless named optional."""
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": [key for key in properties if key not in optional],
+        "additionalProperties": False,
+    }
+
+
+PERIOD_PAYLOAD = _closed(
+    {
         "status": {"enum": ["tiles", "does_not_tile", "inconclusive"]},
-        "period": {"type": "integer", "minimum": 1},
+        "period": _POSITIVE,
         "complement": _INT_ARRAY,
         "cap_used": {"type": "integer", "minimum": 0},
         "explored": {
             "type": "array",
             "items": {
                 "type": "array",
-                "prefixItems": [{"type": "integer"}, {"type": "string"}],
+                "prefixItems": [_INTEGER, {"type": "string"}],
                 "minItems": 2,
                 "maxItems": 2,
             },
         },
     },
-    "required": ["status", "cap_used", "explored"],
-    "additionalProperties": False,
-}
+    "period", "complement",
+)
 
-ANALYZE_PAYLOAD = {
-    "type": "object",
-    "properties": {
+ANALYZE_PAYLOAD = _closed(
+    {
         "spectrum": _INT_ARRAY,
-        "t1": {"type": "boolean"},
-        "t2": {"type": "boolean"},
-        "lcm_sa": {"type": "integer", "minimum": 1},
-        "phi_lcm_divides": {"type": "boolean"},
+        "t1": _BOOLEAN,
+        "t2": _BOOLEAN,
+        "lcm_sa": _POSITIVE,
+        "phi_lcm_divides": _BOOLEAN,
         "diam": {"type": "integer", "minimum": 0},
-        "half_bound_holds": {"type": "boolean"},
-        "eq3_holds": {"type": "boolean"},
+        "half_bound_holds": _BOOLEAN,
+        "eq3_holds": _BOOLEAN,
     },
-    "required": ["spectrum", "t1", "t2", "lcm_sa", "phi_lcm_divides", "diam"],
-    "additionalProperties": False,
-}
+    "half_bound_holds", "eq3_holds",
+)
 
-CHECK_TILING_PAYLOAD = {
-    "type": "object",
-    "properties": {
-        "tiles": {"type": "boolean"},
-        "direct_route": {"type": "boolean"},
-        "cyclotomic_route": {"type": "boolean"},
-        "first_undercovered": {"type": "integer"},
-        "first_overcovered": {"type": "integer"},
-        "failing_divisor": {"type": "integer"},
+CHECK_TILING_PAYLOAD = _closed(
+    {
+        "tiles": _BOOLEAN,
+        "direct_route": _BOOLEAN,
+        "cyclotomic_route": _BOOLEAN,
+        "first_undercovered": _INTEGER,
+        "first_overcovered": _INTEGER,
+        "failing_divisor": _INTEGER,
     },
-    "required": ["tiles", "direct_route", "cyclotomic_route"],
-    "additionalProperties": False,
-}
+    "first_undercovered", "first_overcovered", "failing_divisor",
+)
 
-THEOREM2_PAYLOAD = {
-    "type": "object",
-    "properties": {
-        "params": {
-            "type": "object",
-            "properties": {
-                "p1": {"type": "integer"},
-                "p2": {"type": "integer"},
-                "p3": {"type": "integer"},
-                "n": {"type": "integer"},
+THEOREM2_PAYLOAD = _closed(
+    {
+        "params": _closed(
+            {
+                "p1": _INTEGER,
+                "p2": _INTEGER,
+                "p3": _INTEGER,
+                "n": _INTEGER,
                 "target_beta": {"type": "string"},
                 "epsilon": {"type": "string"},
             },
-            "required": ["p1", "p2", "p3", "n"],
-        },
-        "M": {"type": "integer"},
-        "a": {"type": "integer"},
-        "b": {"type": "integer"},
+            "target_beta", "epsilon",
+        ),
+        "M": _INTEGER,
+        "a": _INTEGER,
+        "b": _INTEGER,
         "A": _INT_ARRAY,
         "B0": _INT_ARRAY,
         "B": _INT_ARRAY,
-        "diam_A": {"type": "integer"},
+        "diam_A": _INTEGER,
         "log_ratio": {"type": "number"},
         "alpha": {"type": "string"},
-        "checks": {"type": "object"},
-        "exponent_report": {"type": "object"},
+        "checks": _closed(
+            {
+                "tiling_base": _BOOLEAN,
+                "tiling_shifted": _BOOLEAN,
+                "shifted_least_period": _POSITIVE,
+                "shifted_period_is_modulus": _BOOLEAN,
+                "base_least_period": _POSITIVE,
+                "base_period_proper": _BOOLEAN,
+                "prime_set_match": _BOOLEAN,
+                "diam_within_bound": _BOOLEAN,
+            }
+        ),
+        "exponent_report": _closed(
+            {
+                "diam": _INTEGER,
+                "diam_upper_bound": _INTEGER,
+                "diam_within_bound": _BOOLEAN,
+                "exponent": {"type": "number"},
+                "alpha": {"type": "string"},
+                "beta_below_alpha": _BOOLEAN,
+                "prime_growth_ok": _BOOLEAN,
+            },
+            "alpha", "beta_below_alpha", "prime_growth_ok",
+        ),
     },
-    "required": ["params", "M", "a", "b", "A", "B0", "B", "diam_A", "checks"],
-    "additionalProperties": False,
-}
+    "log_ratio", "alpha", "exponent_report",
+)
 
-BOX_PAYLOAD = {
-    "type": "object",
-    "properties": {"set": _INT_ARRAY, "modulus": {"type": "integer", "minimum": 1}},
-    "required": ["set", "modulus"],
-    "additionalProperties": False,
-}
+BOX_PAYLOAD = _closed({"set": _INT_ARRAY, "modulus": _POSITIVE})
 
-COUNTEREXAMPLE_PAYLOAD = {
-    "type": "object",
-    "properties": {
+COUNTEREXAMPLE_PAYLOAD = _closed(
+    {
         "set": _INT_ARRAY,
-        "p": {"type": "integer"},
-        "q": {"type": "integer"},
-        "modulus": {"type": "integer"},
-        "diam": {"type": "integer"},
-        "eq3_threshold": {"type": "integer"},
-        "eq3_holds": {"type": "boolean"},
-    },
-    "required": ["set", "p", "q", "modulus", "diam", "eq3_threshold", "eq3_holds"],
-    "additionalProperties": False,
-}
+        "p": _INTEGER,
+        "q": _INTEGER,
+        "modulus": _INTEGER,
+        "diam": _INTEGER,
+        "eq3_threshold": _INTEGER,
+        "eq3_holds": _BOOLEAN,
+    }
+)
 
-CORPUS_RECORD = {
-    "type": "object",
-    "properties": {
-        "set": _INT_ARRAY,
-        "period": PERIOD_PAYLOAD,
-        "analysis": ANALYZE_PAYLOAD,
-    },
-    "required": ["set", "period", "analysis"],
-    "additionalProperties": False,
-}
+CORPUS_RECORD = _closed({"set": _INT_ARRAY, "period": PERIOD_PAYLOAD, "analysis": ANALYZE_PAYLOAD})
 
-ENVELOPE = {
-    "type": "object",
-    "properties": {
+ENVELOPE = _closed(
+    {
         "schema_version": {"const": SCHEMA_VERSION},
         "subcommand": {"type": "string"},
         "normalization": {
@@ -137,9 +148,8 @@ ENVELOPE = {
         "payload": {"type": "object"},
         "timing_ms": {"type": "number"},
     },
-    "required": ["schema_version", "subcommand", "payload", "timing_ms"],
-    "additionalProperties": False,
-}
+    "normalization",
+)
 
 PAYLOAD_SCHEMAS = {
     "analyze": ANALYZE_PAYLOAD,

@@ -1,8 +1,9 @@
 """Shared corpus fixtures.
 
 The corpus of all normalized sets within a small diameter, with their
-minimal-period search results, backs several suites; computing it once per
-session keeps the overall runtime down.
+minimal-period search results, and the (7, 11, 13, 2) column-shift instance
+back several suites; computing each once per session keeps the overall
+runtime down.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 
 from inttiles import cli
 from inttiles.cli import _corpus_sets
+from inttiles.constructions import Theorem2Params, theorem2_generate
 from inttiles.search import SearchConfig, minimal_tiling_period
 from inttiles.tilingset import IntegerSet
 
@@ -45,3 +47,9 @@ def corpus12():
         (tile, minimal_tiling_period(tile, SearchConfig()))
         for tile in enumerate_normalized_sets(12)
     ]
+
+
+@pytest.fixture(scope="session")
+def desk_instance():
+    """The paper's (7, 11, 13, 2) column-shift instance, M = 1002001."""
+    return theorem2_generate(Theorem2Params(7, 11, 13, 2))

@@ -178,6 +178,33 @@ def test_construct_theorem2():
     assert payload["exponent_report"]["beta_below_alpha"] is True
 
 
+def test_theorem2_schema_rejects_missing_and_stray_fields(desk_instance):
+    # the payload construct theorem2 prints, without --beta and --epsilon;
+    # its three 1,001-element sets are cut to one element, since validating
+    # them takes about 36 ms a payload
+    payload = desk_instance.to_json_dict() | {"A": [0], "B0": [0], "B": [0]}
+    payload["exponent_report"] = constructions.theorem2_exponent_report(
+        desk_instance
+    ).to_json_dict()
+    validator = jsonschema.Draft202012Validator(PAYLOAD_SCHEMAS["construct-theorem2"])
+    assert validator.is_valid(payload)
+
+    def edited(obj, key, value=None):
+        bad = json.loads(json.dumps(payload))
+        if value is None:
+            del bad[obj][key]
+        else:
+            bad[obj][key] = value
+        return bad
+
+    broken = [edited("checks", key) for key in payload["checks"]]
+    broken += [edited("exponent_report", key) for key in payload["exponent_report"]]
+    broken += [edited(obj, "stray", 1) for obj in ("params", "checks", "exponent_report")]
+    broken.append(edited("checks", "tiling_base", "true"))
+    assert len(broken) == 8 + 4 + 3 + 1
+    assert [bad for bad in broken if validator.is_valid(bad)] == []
+
+
 def test_counterexample():
     code, env = run_json("counterexample", "--p", "7", "--q", "11")
     payload = env["payload"]
@@ -801,15 +828,15 @@ def test_argv_fuzz(run, tmp_path_factory):
 
 
 def _loaded_after(script: str, prefixes: tuple[str, ...]) -> list[str]:
-    """The modules starting with one of prefixes that a fresh Python holds
-    after running script.
+    """The prefixes that name a module a fresh Python holds after running
+    script, sorted.
 
     The child runs with -S: a site .pth file may load typing or pathlib at
     start-up, which would hide the package's own imports. PYTHONPATH still
     reaches this inttiles."""
     probe = (
         f"{script}\nimport json, sys\n"
-        f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefixes!r}))))"
+        f"print(json.dumps(sorted({{p for m in sys.modules for p in {prefixes!r} if m.startswith(p)}})))"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=subprocess_env(), capture_output=True,
@@ -818,79 +845,90 @@ def _loaded_after(script: str, prefixes: tuple[str, ...]) -> list[str]:
     return json.loads(result.stdout)
 
 
+def _cli_script(argv: list[str]) -> str:
+    return f"import io\nfrom inttiles import cli\nassert cli.main({argv!r}, out=io.StringIO()) == 0"
+
+
 _LAZY_MODULES = ("inttiles.search", "inttiles.cmcheck", "inttiles.constructions")
+_POOLS = ("concurrent", "multiprocessing")
+_FRACTION_MODULES = ("fractions", "decimal", "numbers")
+_WATCHED = (*_POOLS, *_LAZY_MODULES, "dataclasses", "typing", *_FRACTION_MODULES, "pathlib")
+
+# The module-loading contract: script -> (the script, the watched modules it
+# loads beyond those `python -S -c pass` holds). Serial runs start no process
+# pool. search, cmcheck and constructions load only in the commands that run
+# them. The value classes derive from polyring.Record, so nothing loads
+# dataclasses (which loads inspect, ast, dis and tokenize) or typing. Only
+# constructions makes a Fraction, so only its commands load fractions (with
+# decimal and numbers), and --input is read with open(), so none loads pathlib.
+_LOADS = {
+    "import": ("import inttiles, inttiles.cli", ()),
+    "analyze": (_cli_script(["analyze", "--set", "0,1,3"]), ("inttiles.cmcheck",)),
+    "check-tiling": (
+        _cli_script(["check-tiling", "--tile", "0,1", "--complement", "0,2", "--modulus", "4"]),
+        (),
+    ),
+    "min-period": (_cli_script(["min-period", "--set", "0,1,3"]), ("inttiles.search",)),
+    "theorem2": (
+        _cli_script(["construct", "theorem2", "--p", "7,11,13", "--n", "2", "--beta", "11/10"]),
+        ("inttiles.constructions", *_FRACTION_MODULES),
+    ),
+    "box": (
+        _cli_script(["construct", "box", "--powers", "2^2,3"]),
+        ("inttiles.constructions", *_FRACTION_MODULES),
+    ),
+    "counterexample": (
+        _cli_script(["counterexample", "--p", "5", "--q", "7"]),
+        ("inttiles.constructions", *_FRACTION_MODULES),
+    ),
+    "corpus": (
+        _cli_script(["corpus", "--max-diameter", "3"]),
+        ("inttiles.search", "inttiles.cmcheck"),
+    ),
+}
 
 
-def test_cli_import_leaves_out_process_pools():
-    # serial runs never start a pool; importing one pulls in multiprocessing.
-    # search, cmcheck and constructions load only in the calls that run them.
-    loaded = _loaded_after(
-        "import inttiles, inttiles.cli", ("concurrent", "multiprocessing", *_LAZY_MODULES)
-    )
-    assert loaded == []
+@pytest.fixture(scope="module")
+def watched_loads():
+    """name -> the watched modules its _LOADS script leaves loaded that
+    `pass` does not: one child Python per script and one for `pass`."""
+    baseline = set(_loaded_after("pass", _WATCHED))
+    return {
+        name: set(_loaded_after(script, _WATCHED)) - baseline
+        for name, (script, _) in _LOADS.items()
+    }
+
+
+def _assert_loads(watched_loads, name: str, columns: tuple[str, ...]) -> None:
+    """The columns of one _LOADS row: loaded exactly where the table says."""
+    allowed = set(_LOADS[name][1])
+    assert watched_loads[name] & set(columns) == allowed & set(columns), name
+
+
+def test_cli_import_leaves_out_process_pools(watched_loads):
+    _assert_loads(watched_loads, "import", _POOLS + _LAZY_MODULES)
+    for name in _LOADS:
+        _assert_loads(watched_loads, name, _POOLS)
 
 
 @pytest.mark.parametrize(
-    "argv,expected",
-    [
-        (["min-period", "--set", "0,1,3"], ["inttiles.search"]),
-        (["check-tiling", "--tile", "0,1", "--complement", "0,2", "--modulus", "4"], []),
-        (["analyze", "--set", "0,1,3"], ["inttiles.cmcheck"]),
-        (["construct", "box", "--powers", "2^2,3"], ["inttiles.constructions"]),
-    ],
-    ids=["min-period", "check-tiling", "analyze", "construct-box"],
+    "name",
+    [name for name in _LOADS if name != "import"],
+    ids=lambda name: f"construct-{name}" if name in ("theorem2", "box") else name,
 )
-def test_subcommand_loads_only_its_modules(argv, expected):
-    script = (
-        f"import io\nfrom inttiles import cli\nassert cli.main({argv!r}, out=io.StringIO()) == 0"
-    )
-    assert _loaded_after(script, _LAZY_MODULES) == expected
+def test_subcommand_loads_only_its_modules(watched_loads, name):
+    _assert_loads(watched_loads, name, _LAZY_MODULES)
 
 
-_CLI_RUNS = [
-    ["analyze", "--set", "0,1,3"],
-    ["check-tiling", "--tile", "0,1", "--complement", "0,2", "--modulus", "4"],
-    ["min-period", "--set", "0,1,3"],
-    ["construct", "theorem2", "--p", "7,11,13", "--n", "2", "--beta", "11/10"],
-    ["construct", "box", "--powers", "2^2,3"],
-    ["counterexample", "--p", "5", "--q", "7"],
-    ["corpus", "--max-diameter", "3"],
-]
-# the commands that build no Fraction, in the order of _CLI_RUNS
-_FRACTION_FREE = ("analyze", "check-tiling", "min-period", "corpus")
+@pytest.mark.parametrize("name", list(_LOADS))
+def test_no_dataclasses_or_typing(watched_loads, name):
+    _assert_loads(watched_loads, name, ("dataclasses", "typing"))
 
 
-@pytest.mark.parametrize(
-    "script",
-    ["import inttiles, inttiles.cli"]
-    + [
-        f"import io\nfrom inttiles import cli\nassert cli.main({argv!r}, out=io.StringIO()) == 0"
-        for argv in _CLI_RUNS
-    ],
-    ids=["import"] + [argv[0] if argv[0] != "construct" else argv[1] for argv in _CLI_RUNS],
-)
-def test_no_dataclasses_or_typing(script):
-    # the value classes derive from polyring.Record: dataclasses loads
-    # inspect, ast, dis and tokenize, and typing is only ever annotations
-    prefixes = ("dataclasses", "typing")
-    assert _loaded_after(script, prefixes) == _loaded_after("pass", prefixes)
-
-
-@pytest.mark.parametrize(
-    "script",
-    ["import inttiles, inttiles.cli"]
-    + [
-        f"import io\nfrom inttiles import cli\nassert cli.main({argv!r}, out=io.StringIO()) == 0"
-        for argv in _CLI_RUNS
-        if argv[0] in _FRACTION_FREE
-    ],
-    ids=["import", *_FRACTION_FREE],
-)
-def test_no_fractions_or_pathlib(script):
-    # only constructions makes a Fraction, so it alone imports fractions
-    # (which loads decimal and numbers); --input is read with open()
-    prefixes = ("fractions", "decimal", "numbers", "pathlib")
-    assert _loaded_after(script, prefixes) == _loaded_after("pass", prefixes)
+@pytest.mark.parametrize("name", list(_LOADS))
+def test_no_fractions_or_pathlib(watched_loads, name):
+    # the construct and counterexample rows allow fractions, and no row pathlib
+    _assert_loads(watched_loads, name, (*_FRACTION_MODULES, "pathlib"))
 
 
 def test_every_public_name_resolves():

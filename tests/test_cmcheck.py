@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerate_normalized_sets
+from dense_oracle import cyclotomic, exact_divide
 from inttiles.cmcheck import (
     CmReport,
     check_t1,
@@ -18,7 +19,7 @@ from inttiles.cmcheck import (
     spectrum,
 )
 from inttiles.constructions import diameter_counterexample, standard_tile
-from inttiles.polyring import cyclotomic, cyclotomic_divides, euler_phi, exact_divide, factorize
+from inttiles.polyring import cyclotomic_divides, euler_phi, factorize
 from inttiles.tilingset import IntegerSet
 
 
@@ -47,7 +48,7 @@ def test_spectrum_agrees_with_division():
     # the divisibility backend and plain long division must agree
     for elems in [(0, 1, 2, 3), (0, 1, 4), (0, 2, 4), (0, 1, 2, 3, 4, 5), (0, 6)]:
         a = IntegerSet(elems)
-        mask = a.mask_polynomial()
+        mask = a.mask_polynomial().coeffs
         for s in spectrum(a):
             assert exact_divide(mask, cyclotomic(s)) is not None
 
@@ -201,7 +202,7 @@ def test_half_bound_theorem_on_samples():
 def _reference_report(tile):
     """CmReport rebuilt from long division on the dense mask polynomial."""
     diam = tile.diameter()
-    mask = tile.mask_polynomial()
+    mask = tile.mask_polynomial().coeffs
 
     def divides(s):
         return euler_phi(s) <= diam and exact_divide(mask, cyclotomic(s)) is not None
@@ -364,14 +365,20 @@ def test_fiber_decompose_prime_power_tile():
 
 
 def test_corpus_tiles_satisfy_t1(corpus12):
-    from inttiles.polyring import factorize
-
+    # Coven-Meyerowitz: every tile satisfies (T1) (Theorem B1), and one with
+    # at most two primes in |A| satisfies (T2) (Theorem B2); (T1) and (T2)
+    # give a tiling at lcm_sa (Theorem A), and by (T1) every period is a
+    # multiple of lcm_sa. Each |A| <= 13 here has at most two primes, so the
+    # search tiles exactly when (T1) and (T2) hold, and then at lcm_sa.
+    tiles = 0
     for tile, result in corpus12:
+        assert factorize(len(tile)).num_distinct_primes() <= 2
         report = cm_report(tile)
+        assert (result.status == "tiles") == (report.t1 and report.t2), tile.elements
         if result.status == "tiles":
-            assert report.t1, tile.elements
-            if factorize(len(tile)).num_distinct_primes() <= 2:
-                assert report.t2, tile.elements
+            tiles += 1
+            assert result.period == report.lcm_sa, tile.elements
+    assert tiles == 211
 
 
 def test_corpus_t1_t2_tiles_admit_lcm_period(corpus12):

@@ -75,11 +75,6 @@ def test_alpha_approaches_three_halves():
 DESK = Theorem2Params(7, 11, 13, 2)
 
 
-@pytest.fixture(scope="module")
-def desk_instance():
-    return theorem2_generate(DESK)
-
-
 def test_instance_sizes_and_shifts(desk_instance):
     inst = desk_instance
     assert inst.modulus == 1002001
