@@ -27,7 +27,6 @@ from .faults import (
     WitnessViolationError,
 )
 from .polyring import (
-    Factorization,
     IntPolynomial,
     cyclotomic_divides,
     divisors,
@@ -48,9 +47,8 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it, loaded on first access
 _LAZY = {
     **dict.fromkeys(
-        ("NodeBudgetExceeded", "PeriodResult", "SearchConfig", "default_cap",
-         "find_complement", "minimal_tiling_period", "period_bound_check",
-         "top_power_witnesses"),
+        ("NodeBudgetExceeded", "PeriodResult", "default_cap", "find_complement",
+         "minimal_tiling_period", "period_bound_check", "top_power_witnesses"),
         "search",
     ),
     **dict.fromkeys(
@@ -88,7 +86,6 @@ __all__ = [
     "CounterexampleReport",
     "CyclicTiling",
     "ExponentReport",
-    "Factorization",
     "FiberDecomposition",
     "InconsistentRoutesError",
     "IntPolynomial",
@@ -97,7 +94,6 @@ __all__ = [
     "InvalidShiftError",
     "NodeBudgetExceeded",
     "PeriodResult",
-    "SearchConfig",
     "Theorem2Instance",
     "Theorem2Params",
     "TilingVerdict",

@@ -228,17 +228,14 @@ def _run_check_tiling(args):
 
 
 def _run_min_period(args):
-    from .search import SearchConfig, minimal_tiling_period
+    from .search import minimal_tiling_period
 
     given = _input_set(args)
     tile = given.normalize()
     offset = given.elements[0]
-    config = SearchConfig(
-        candidate_mode=args.mode,
-        max_modulus_override=args.cap,
-        node_budget=args.node_budget,
+    result = minimal_tiling_period(
+        tile, mode=args.mode, cap=args.cap, node_budget=args.node_budget
     )
-    result = minimal_tiling_period(tile, config)
     code = 3 if result.status == "inconclusive" else 0
     return result.to_json_dict(), code, {"offset": offset}
 
@@ -302,9 +299,9 @@ def _corpus_sets(max_diameter: int):
         )
 
 
-def _corpus_record(cm_report, minimal_tiling_period, config, elements: tuple[int, ...]) -> str:
+def _corpus_record(cm_report, minimal_tiling_period, elements: tuple[int, ...]) -> str:
     tile = IntegerSet(elements)
-    period = minimal_tiling_period(tile, config)
+    period = minimal_tiling_period(tile)
     analysis = cm_report(tile)
     record = {
         "set": list(elements),
@@ -364,13 +361,12 @@ def _run_corpus(args, out) -> int:
             f"{CORPUS_SAFETY_LIMIT}; pass --force to override"
         )
     from .cmcheck import cm_report
-    from .search import SearchConfig, minimal_tiling_period
+    from .search import minimal_tiling_period
 
     jobs = worker_count(args.jobs)
-    # the functions and the search config are bound once per run, and
-    # positionally: an import per line would cost about 1% of the run, and
-    # a keyword partial about 0.2%
-    record = functools.partial(_corpus_record, cm_report, minimal_tiling_period, SearchConfig())
+    # the functions are bound once per run, and positionally: an import per
+    # line would cost about 1% of the run, and a keyword partial about 0.2%
+    record = functools.partial(_corpus_record, cm_report, minimal_tiling_period)
     for line in ordered_map(record, _corpus_sets(args.max_diameter), jobs):
         print(line, file=out)
     return 0

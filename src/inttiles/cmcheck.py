@@ -109,7 +109,7 @@ def cm_report(tile: IntegerSet) -> CmReport:
     half_bound = 2 * diam >= lcm_sa if phi_lcm_divides else None
     eq3 = None
     if len(tile) > 1:
-        p = size.primes[0]
+        p = size[0][0]
         eq3 = p * diam >= (p - 1) * lcm_sa
     return CmReport(
         spectrum=tuple(sorted(itertools.chain.from_iterable(groups))),

@@ -209,6 +209,7 @@ def theorem2_generate(params: Theorem2Params) -> Theorem2Instance:
     verdict_shifted = bool(is_tiling(tile, complement, modulus))
     lp_shifted = least_period(complement, modulus)
     lp_base = least_period(complement_base, modulus)
+    prime_sets = [[p for p, _ in factorize(x)] for x in (modulus, len(tile))]
     checks = Theorem2Checks(
         tiling_base=verdict_base,
         tiling_shifted=verdict_shifted,
@@ -216,7 +217,7 @@ def theorem2_generate(params: Theorem2Params) -> Theorem2Instance:
         shifted_period_is_modulus=lp_shifted == modulus,
         base_least_period=lp_base,
         base_period_proper=all((modulus // p) % lp_base == 0 for p in ps),
-        prime_set_match=factorize(modulus).primes == factorize(len(tile)).primes,
+        prime_set_match=prime_sets[0] == prime_sets[1],
         diam_within_bound=diam * params.p1 ** (n - 1) <= 3 * modulus,
     )
     return Theorem2Instance(

@@ -1,13 +1,14 @@
 """Records, integer factoring, and the one exact cyclotomic test.
 
 Everything here is exact arithmetic on Python ints. Record is the base of
-every value class. cyclotomic_divides, the library's one test for
-Phi_s | f, works on sparse exponent maps, so it stays usable for sets with
-diameters in the hundreds of thousands: the group rule of _vanishes peels
-one whole prime power p^k of s per level, and at a prime power it settles
-the test by counting terms. IntPolynomial, a dense coefficient tuple, is
-only the record that IntegerSet.mask_polynomial returns and mul_mod_cyclic
-takes.
+every value class. factorize returns a number's (prime, exponent) pairs as
+a plain tuple, which divisors and euler_phi read. cyclotomic_divides, the
+library's one test for Phi_s | f, works on sparse exponent maps, so it
+stays usable for sets with diameters in the hundreds of thousands: the
+group rule of _vanishes peels one whole prime power p^k of s per level,
+and at a prime power it settles the test by counting terms. IntPolynomial,
+a dense coefficient tuple, is only the record that
+IntegerSet.mask_polynomial returns and mul_mod_cyclic takes.
 """
 
 from __future__ import annotations
@@ -102,46 +103,6 @@ class IntPolynomial(Record):
         return ((e, c) for e, c in enumerate(self.coeffs) if c)
 
 
-class Factorization(Record):
-    """Prime factorization as (prime, exponent) pairs sorted by prime."""
-
-    def __init__(self, pairs: tuple[tuple[int, int], ...]):
-        vars(self)["pairs"] = pairs
-        prev = 1
-        for p, e in self.pairs:
-            if p <= prev:
-                raise ValueError("primes must be strictly increasing")
-            if e < 1:
-                raise ValueError("exponents must be positive")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            prev = p
-
-    @property
-    def value(self) -> int:
-        v = 1
-        for p, e in self.pairs:
-            v *= p**e
-        return v
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
-
-    def num_distinct_primes(self) -> int:
-        return len(self.pairs)
-
-    def divisors(self) -> list[int]:
-        """All positive divisors, sorted ascending."""
-        ds = [1]
-        for p, e in self.pairs:
-            ds = [d * p**k for d in ds for k in range(e + 1)]
-        return sorted(ds)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.pairs)
-
-
 def is_prime(n: int) -> bool:
     return n >= 2 and smallest_prime_factor(n) == n
 
@@ -159,8 +120,12 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
-def factorize(n: int) -> Factorization:
-    """Exact prime factorization by trial division; factorize(1) is empty."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of n >= 1 by trial division, ascending.
+
+    factorize(1) is empty. Each prime is found by one trial-division pass,
+    so it needs no test of its own.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     pairs = []
@@ -171,11 +136,15 @@ def factorize(n: int) -> Factorization:
             e += 1
             n //= p
         pairs.append((p, e))
-    return Factorization(tuple(pairs))
+    return tuple(pairs)
 
 
 def divisors(n: int) -> list[int]:
-    return factorize(n).divisors()
+    """All positive divisors of n >= 1, ascending."""
+    ds = [1]
+    for p, e in factorize(n):
+        ds = [d * p**k for d in ds for k in range(e + 1)]
+    return sorted(ds)
 
 
 def euler_phi(s: int) -> int:

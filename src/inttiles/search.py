@@ -5,7 +5,10 @@ calls a complete backtracking search for a complement at each. The default
 enumeration cap (2D)^d, with D the diameter and d the number of distinct
 primes of |A|, makes a negative answer a theorem rather than a timeout:
 any tiling admits one whose period has the same prime factors as |A|, and
-such a least period cannot exceed the cap.
+such a least period cannot exceed the cap. minimal_tiling_period takes its
+three settings, mode, cap and node_budget, as keyword arguments named like
+the CLI flags, and reads the primes of |A| off the (prime, exponent) pairs
+that factorize returns.
 
 On a tile that does not tile, most probes refute the same local dead end.
 Let E = max(A) and call a refutation at M local when every smallest
@@ -62,7 +65,7 @@ from collections.abc import Iterator
 from itertools import islice
 
 from .faults import WitnessViolationError
-from .polyring import Record, cyclotomic_divides, factorize
+from .polyring import Record, cyclotomic_divides, divisors, factorize
 from .tilingset import ELEMENT_SAFETY_LIMIT, CyclicTiling, IntegerSet, least_period
 
 # The largest modulus the complement search takes on. It keeps one M-bit mask
@@ -80,38 +83,6 @@ class NodeBudgetExceeded(Exception):
 def _check_node_budget(node_budget: int | None) -> None:
     if node_budget is not None and node_budget < 1:
         raise ValueError("node_budget must be positive")
-
-
-class SearchConfig(Record):
-    """Knobs for minimal_tiling_period.
-
-    candidate_mode "restricted" enumerates only moduli whose prime set
-    equals the prime set of |A| (sound: a tile always admits such a
-    tiling); "unrestricted" enumerates every multiple of |A| up to the cap
-    and exists as an oracle for the restricted mode. Either way candidates
-    are generated lazily as the search probes them, so a large cap costs
-    nothing until it is reached, except that a local refutation lists every
-    remaining candidate at once (see minimal_tiling_period).
-    A max_modulus_override below the default cap downgrades a negative
-    answer to inconclusive.
-    """
-
-    def __init__(
-        self,
-        candidate_mode: str = "restricted",
-        max_modulus_override: int | None = None,
-        node_budget: int | None = None,
-    ):
-        vars(self).update(
-            candidate_mode=candidate_mode,
-            max_modulus_override=max_modulus_override,
-            node_budget=node_budget,
-        )
-        if self.candidate_mode not in ("restricted", "unrestricted"):
-            raise ValueError(f"unknown candidate mode {self.candidate_mode!r}")
-        if self.max_modulus_override is not None and self.max_modulus_override < 1:
-            raise ValueError("max_modulus_override must be positive")
-        _check_node_budget(self.node_budget)
 
 
 class PeriodResult(Record):
@@ -290,7 +261,7 @@ def restricted_candidates(
     order, and candidates come out sorted without materializing a range.
     """
     if primes is None:
-        primes = factorize(size).primes
+        primes = tuple(p for p, _ in factorize(size))
     heap = [(size, 0)] if size <= cap else []
     while heap:
         v, i = heapq.heappop(heap)
@@ -313,9 +284,8 @@ def default_cap(tile: IntegerSet, primes: tuple[int, ...] | None = None) -> int:
     primes, when given, are the primes of |A|, so that they are not factored
     again.
     """
-    if primes is None:
-        primes = factorize(len(tile)).primes
-    return (2 * tile.diameter()) ** len(primes)
+    d = len(factorize(len(tile)) if primes is None else primes)
+    return (2 * tile.diameter()) ** d
 
 
 def _probe(
@@ -358,15 +328,29 @@ def _probe(
 
 
 def minimal_tiling_period(
-    tile: IntegerSet, config: SearchConfig = SearchConfig()
+    tile: IntegerSet,
+    *,
+    mode: str = "restricted",
+    cap: int | None = None,
+    node_budget: int | None = None,
 ) -> PeriodResult:
     """The minimal tiling period of a normalized tile, by exhaustive search.
 
+    The settings are keyword-only and named like the CLI flags --mode, --cap
+    and --node-budget. mode "restricted" enumerates only moduli whose prime
+    set equals the prime set of |A| (sound: a tile always admits such a
+    tiling); "unrestricted" enumerates every multiple of |A| up to the cap
+    and exists as an oracle for the restricted mode. Either way candidates
+    are generated lazily as the search probes them, so a large cap costs
+    nothing until it is reached, except that a local refutation lists every
+    remaining candidate at once (below). An unknown mode, or a cap or node
+    budget below 1, raises a ValueError before any search.
+
     Candidates are enumerated in increasing order, so the first modulus
     admitting a complement is the minimum over the enumerated family. With
-    the default cap a fully refuted enumeration is a proof that the tile
-    does not tile the integers at all; a cap override below the default
-    only ever yields "inconclusive" in the negative case.
+    the default cap (default_cap) a fully refuted enumeration is a proof
+    that the tile does not tile the integers at all; a cap below the default
+    downgrades that negative answer to "inconclusive".
 
     Each candidate is searched in one coset of the subgroup that the tile
     generates with it, which finds the same outcome and complement as
@@ -380,20 +364,24 @@ def minimal_tiling_period(
     search a modulus past SEARCH_MODULUS_LIMIT, or when the complement found
     has more than ELEMENT_SAFETY_LIMIT elements.
     """
-    primes = factorize(len(tile)).primes
-    cap = default_cap(tile, primes)
-    proof_complete = True
-    if config.max_modulus_override is not None:
-        proof_complete = config.max_modulus_override >= cap
-        cap = config.max_modulus_override
-    if config.candidate_mode == "restricted":
+    if mode not in ("restricted", "unrestricted"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be positive")
+    _check_node_budget(node_budget)
+    primes = tuple(p for p, _ in factorize(len(tile)))
+    proof_cap = default_cap(tile, primes)
+    if cap is None:
+        cap = proof_cap
+    proof_complete = cap >= proof_cap
+    if mode == "restricted":
         candidates = restricted_candidates(len(tile), cap, primes)
     else:
         candidates = unrestricted_candidates(len(tile), cap)
 
     explored: list[tuple[int, str]] = []
     for modulus in candidates:
-        outcome, complement, local = _probe(tile, modulus, config.node_budget)
+        outcome, complement, local = _probe(tile, modulus, node_budget)
         explored.append((modulus, outcome))
         if outcome == "tiles":
             return PeriodResult("tiles", modulus, complement, cap, tuple(explored))
@@ -429,10 +417,9 @@ def top_power_witnesses(tiling: CyclicTiling) -> list[tuple[int, int, int]]:
     _require_least_period(tiling)
     modulus = tiling.modulus
     mask = dict.fromkeys(tiling.tile.elements, 1)
-    fac = factorize(modulus)
-    divs = fac.divisors()
+    divs = divisors(modulus)
     witnesses = []
-    for p, e in fac:
+    for p, e in factorize(modulus):
         pe = p**e
         s = next(
             (d for d in divs if d % pe == 0 and cyclotomic_divides(d, mask)), None
@@ -454,6 +441,7 @@ def period_bound_check(tiling: CyclicTiling) -> bool:
     """
     _require_least_period(tiling)
     modulus = tiling.modulus
-    if factorize(modulus).primes != factorize(len(tiling.tile)).primes:
+    size = len(tiling.tile)
+    if [p for p, _ in factorize(modulus)] != [p for p, _ in factorize(size)]:
         raise ValueError("prime set of modulus differs from prime set of |tile|")
     return modulus <= default_cap(tiling.tile)

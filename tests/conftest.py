@@ -16,7 +16,7 @@ import pytest
 from inttiles import cli
 from inttiles.cli import _corpus_sets
 from inttiles.constructions import Theorem2Params, theorem2_generate
-from inttiles.search import SearchConfig, minimal_tiling_period
+from inttiles.search import minimal_tiling_period
 from inttiles.tilingset import IntegerSet
 
 
@@ -34,19 +34,13 @@ def subprocess_env():
 @pytest.fixture(scope="session")
 def corpus10():
     """(tile, restricted PeriodResult) for every normalized set in {0..10}."""
-    return [
-        (tile, minimal_tiling_period(tile, SearchConfig()))
-        for tile in enumerate_normalized_sets(10)
-    ]
+    return [(tile, minimal_tiling_period(tile)) for tile in enumerate_normalized_sets(10)]
 
 
 @pytest.fixture(scope="session")
 def corpus12():
     """(tile, restricted PeriodResult) for every normalized set in {0..12}."""
-    return [
-        (tile, minimal_tiling_period(tile, SearchConfig()))
-        for tile in enumerate_normalized_sets(12)
-    ]
+    return [(tile, minimal_tiling_period(tile)) for tile in enumerate_normalized_sets(12)]
 
 
 @pytest.fixture(scope="session")

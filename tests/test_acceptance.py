@@ -16,7 +16,6 @@ from inttiles.cmcheck import cm_report
 from inttiles.constructions import Theorem2Params, diameter_counterexample, theorem2_generate
 from inttiles.polyring import divisors, euler_phi, factorize
 from inttiles.search import (
-    SearchConfig,
     find_complement,
     minimal_tiling_period,
     period_bound_check,
@@ -42,10 +41,8 @@ def corpus_results():
     restricted = []
     unrestricted = []
     for tile in enumerate_normalized_sets(10):
-        restricted.append((tile, minimal_tiling_period(tile, SearchConfig())))
-        unrestricted.append(
-            minimal_tiling_period(tile, SearchConfig(candidate_mode="unrestricted"))
-        )
+        restricted.append((tile, minimal_tiling_period(tile)))
+        unrestricted.append(minimal_tiling_period(tile, mode="unrestricted"))
     elapsed = time.perf_counter() - started
     return restricted, unrestricted, elapsed
 
@@ -82,8 +79,8 @@ def test_criterion_2_long_period_construction():
     ok &= lp_shifted == modulus
     ok &= modulus % lp_base == 0 and lp_base < modulus  # proper divisor
 
-    ok &= factorize(modulus).primes == (7, 11, 13)
-    ok &= factorize(len(tile)).primes == (7, 11, 13)
+    ok &= [p for p, _ in factorize(modulus)] == [7, 11, 13]
+    ok &= [p for p, _ in factorize(len(tile))] == [7, 11, 13]
 
     ok &= instance.diam == 276652
     ok &= instance.diam * 7 <= 3 * modulus  # diam <= 3M / p1^(n-1)
@@ -142,7 +139,7 @@ def test_criterion_5_top_power_witness_suite(corpus_results):
         except Exception as exc:  # any violation or precondition failure counts
             violations.append((tile.elements, repr(exc)))
             continue
-        assert len(witnesses) == len(factorize(tiling.modulus).pairs)
+        assert len(witnesses) == len(factorize(tiling.modulus))
     elapsed = time.perf_counter() - started
     ok = not violations and checked > 0
     _report(5, f"top-power witnesses on {checked} tilings", ok, elapsed)
@@ -177,7 +174,7 @@ def test_criterion_7_spectrum_condition_suite(corpus_results):
         report = cm_report(tile)
         if not report.t1:
             failures.append((tile.elements, "t1"))
-        if factorize(len(tile)).num_distinct_primes() <= 2 and not report.t2:
+        if len(factorize(len(tile))) <= 2 and not report.t2:
             failures.append((tile.elements, "t2"))
         if report.t1 and report.t2:
             if report.lcm_sa == 1:
@@ -200,14 +197,14 @@ def test_criterion_8_two_prime_fiber_suite(corpus_results):
         if result.status != "tiles":
             continue
         fac = factorize(len(tile))
-        if fac.num_distinct_primes() != 2:
+        if len(fac) != 2:
             continue
         report = cm_report(tile)
         if not report.phi_lcm_divides:
             continue
         checked += 1
         modulus = report.lcm_sa
-        p, q = fac.primes
+        (p, _), (q, _) = fac
         decomposition = fiber_decompose(tile, modulus, p, q)
         if decomposition is None:
             failures.append((tile.elements, "no fiber decomposition"))

@@ -446,8 +446,10 @@ def test_usage_error_set_and_input_conflict(tmp_path):
         ("construct", "theorem2", "--p", "7,11,13", "--n", "abc"),
         ("frobnicate",),
         ("analyze", "--set", "0,1", "--input", "set.json"),
+        # parsed, then refused by minimal_tiling_period, which names its keyword
+        ("min-period", "--set", "0,1", "--cap", "0"),
     ],
-    ids=["missing-set", "n-not-int", "unknown-subcommand", "set-and-input"],
+    ids=["missing-set", "n-not-int", "unknown-subcommand", "set-and-input", "cap-zero"],
 )
 def test_argparse_error_is_one_line(argv):
     stderr = io.StringIO()
@@ -457,6 +459,8 @@ def test_argparse_error_is_one_line(argv):
     assert out == ""
     assert stderr.getvalue() == ""  # argparse prints no usage of its own
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    if "--cap" in argv:
+        assert err == "error: cap must be positive\n"
 
 
 def test_help_exits_0(capsys):

@@ -69,7 +69,7 @@ def test_spectrum_of_interval():
     for n in range(1, 301):
         expected = tuple(
             d for d in range(2, n + 1)
-            if n % d == 0 and factorize(d).num_distinct_primes() == 1
+            if n % d == 0 and len(factorize(d)) == 1
         )
         assert spectrum(IntegerSet(tuple(range(n)))) == expected, n
 
@@ -209,9 +209,9 @@ def _reference_report(tile):
 
     spec = tuple(
         s for s in range(2, 2 * diam + 1)
-        if factorize(s).num_distinct_primes() == 1 and divides(s)
+        if len(factorize(s)) == 1 and divides(s)
     )
-    prime_of = {s: factorize(s).primes[0] for s in spec}
+    prime_of = {s: factorize(s)[0][0] for s in spec}
     t2 = all(
         divides(math.prod(chosen))
         for k in range(2, len(spec) + 1)
@@ -222,7 +222,7 @@ def _reference_report(tile):
     phi_lcm_divides = divides(lcm_sa)
     eq3 = None
     if len(tile) > 1:
-        p = factorize(len(tile)).primes[0]
+        p = factorize(len(tile))[0][0]
         eq3 = p * diam >= (p - 1) * lcm_sa
     return CmReport(
         spectrum=spec,
@@ -372,7 +372,7 @@ def test_corpus_tiles_satisfy_t1(corpus12):
     # search tiles exactly when (T1) and (T2) hold, and then at lcm_sa.
     tiles = 0
     for tile, result in corpus12:
-        assert factorize(len(tile)).num_distinct_primes() <= 2
+        assert len(factorize(len(tile))) <= 2
         report = cm_report(tile)
         assert (result.status == "tiles") == (report.t1 and report.t2), tile.elements
         if result.status == "tiles":
@@ -410,13 +410,13 @@ def test_two_prime_fiber_structure_on_corpus(corpus12):
         if result.status != "tiles":
             continue
         fac = factorize(len(tile))
-        if fac.num_distinct_primes() != 2:
+        if len(fac) != 2:
             continue
         report = cm_report(tile)
         if not report.phi_lcm_divides:
             continue
         checked += 1
-        p, q = fac.primes
+        (p, _), (q, _) = fac
         modulus = report.lcm_sa
         decomposition = fiber_decompose(tile, modulus, p, q)
         assert decomposition is not None, tile.elements

@@ -15,7 +15,7 @@ from inttiles.constructions import (
     theorem2_generate,
 )
 from inttiles.polyring import factorize
-from inttiles.search import find_complement
+from inttiles.search import find_complement, minimal_tiling_period
 from inttiles.tilingset import IntegerSet, is_tiling
 
 
@@ -105,8 +105,8 @@ def test_instance_least_periods(desk_instance):
 
 def test_instance_prime_sets(desk_instance):
     inst = desk_instance
-    assert factorize(inst.modulus).primes == (7, 11, 13)
-    assert factorize(len(inst.tile)).primes == (7, 11, 13)
+    assert [p for p, _ in factorize(inst.modulus)] == [7, 11, 13]
+    assert [p for p, _ in factorize(len(inst.tile))] == [7, 11, 13]
 
 
 def test_tile_minimal_period_is_lcm_of_its_spectrum(desk_instance):
@@ -216,6 +216,18 @@ def test_counterexample_11_13():
     assert report.diam == 110 + 156 == 266
     assert report.eq3_threshold == 18590
     assert report.eq3_holds is False
+
+
+@pytest.mark.parametrize("p, q, explored", [(5, 7, 10), (7, 11, 9), (11, 13, 9), (13, 17, 8)])
+def test_counterexample_is_t1_without_t2_and_does_not_tile(p, q, explored):
+    # Coven-Meyerowitz Theorem B2: a tile whose size has at most two primes
+    # satisfies (T2). These sets have |A| = pq and (T1) without (T2), so
+    # none tiles, and the period search proves it
+    tile, _ = diameter_counterexample(p, q)
+    report = cm_report(tile)
+    assert report.t1 and not report.t2
+    result = minimal_tiling_period(tile)
+    assert (result.status, len(result.explored)) == ("does_not_tile", explored)
 
 
 def test_counterexample_validation():

@@ -5,7 +5,10 @@ verdicts is a theorem, over every normalized set within {0..10} and on the
 - Dilation: if gcd(t, |A|) = 1, then S_tA = S_A. Every spectrum power and
   (T2) product is made of primes of |A|, and for gcd(t, s) = 1,
   Phi_s | A(X^t) iff Phi_s | A(X). So (T1) and (T2) keep their verdicts,
-  and by Tijdeman (1995) A + B = Z_M gives tA + B = Z_M.
+  and by Tijdeman (1995) A + B = Z_M gives tA + B = Z_M. When |A| has at
+  most two primes, as every |A| <= 11 here does, A tiles exactly when (T1)
+  and (T2) hold, and then with least period lcm S_A (Coven-Meyerowitz
+  Theorems A, B1 and B2), so tA has the status and the period of A.
 - Reflection: max(A) - A has the mask X^max(A) A(1/X), and Phi_s is
   self-reciprocal for s > 1, so the spectrum, the verdicts, the status and
   the minimal period are unchanged.
@@ -17,6 +20,7 @@ import math
 import pytest
 
 from inttiles.cmcheck import cm_report
+from inttiles.search import minimal_tiling_period
 from inttiles.tilingset import IntegerSet, is_tiling
 
 
@@ -47,6 +51,22 @@ def test_dilation_keeps_the_spectrum_and_the_tilings(corpus10):
                     tile.elements, t,
                 )
     assert (relations, tilings) == (3746, 347)
+
+
+def test_dilation_keeps_the_minimal_period(corpus10):
+    # t = 5 takes minutes: the dilated sets reach diameter 50
+    relations = tiles = 0
+    for tile, result in corpus10:
+        for t in (2, 3):
+            if math.gcd(t, len(tile)) != 1:
+                continue
+            relations += 1
+            dilated = minimal_tiling_period(_dilate(tile, t))
+            assert (dilated.status, dilated.period) == (result.status, result.period), (
+                tile.elements, t,
+            )
+            tiles += dilated.status == "tiles"
+    assert (relations, tiles) == (1194, 107)
 
 
 def test_reflection_keeps_the_verdicts_and_the_period(corpus10):

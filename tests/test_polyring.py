@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import random
 from collections import defaultdict
@@ -5,12 +7,12 @@ from collections import defaultdict
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy import cyclotomic_poly
+from sympy import cyclotomic_poly, isprime
 from sympy.abc import x as sym_x
 
+from conftest import enumerate_normalized_sets
 from dense_oracle import add, cyclotomic, exact_divide, mul
 from inttiles.polyring import (
-    Factorization,
     IntPolynomial,
     cyclotomic_divides,
     divisors,
@@ -116,8 +118,8 @@ def test_cyclotomic_at_one():
     for s in range(2, 301):
         fac = factorize(s)
         value = sum(cyclotomic(s))
-        if fac.num_distinct_primes() == 1:
-            assert value == fac.primes[0]
+        if len(fac) == 1:
+            assert value == fac[0][0]
         else:
             assert value == 1
 
@@ -203,9 +205,9 @@ def test_mul_mod_cyclic_agrees_with_folding(f, g, m):
 
 
 def test_factorize_examples():
-    assert factorize(1).pairs == ()
-    assert factorize(5929).pairs == ((7, 2), (11, 2))  # 77^2
-    assert factorize(1002001).pairs == ((7, 2), (11, 2), (13, 2))  # 1001^2
+    assert factorize(1) == ()
+    assert factorize(5929) == ((7, 2), (11, 2))  # 77^2
+    assert factorize(1002001) == ((7, 2), (11, 2), (13, 2))  # 1001^2
 
 
 def test_factorize_roundtrip():
@@ -213,9 +215,12 @@ def test_factorize_roundtrip():
     for _ in range(200):
         n = rng.randrange(1, 10**6)
         fac = factorize(n)
-        assert fac.value == n
-        assert all(is_prime(p) for p in fac.primes)
-        assert list(fac.primes) == sorted(fac.primes)
+        assert math.prod(p**e for p, e in fac) == n
+        primes = [p for p, _ in fac]
+        assert all(is_prime(p) for p in primes)
+        # strictly ascending, each with a positive exponent
+        assert primes == sorted(set(primes))
+        assert all(e >= 1 for _, e in fac)
 
 
 def _factorize_by_loop(n: int) -> tuple[tuple[int, int], ...]:
@@ -238,25 +243,16 @@ def _factorize_by_loop(n: int) -> tuple[tuple[int, int], ...]:
 
 def test_factorize_matches_trial_division_loop():
     for n in range(1, 10**5 + 1):
-        assert factorize(n).pairs == _factorize_by_loop(n), n
+        assert factorize(n) == _factorize_by_loop(n), n
     for n in (2**40, 3**25, 999983 * 1000003, 10**12 + 39):
-        assert factorize(n).pairs == _factorize_by_loop(n), n
-    assert factorize(10**12 + 39).pairs == ((10**12 + 39, 1),)
-
-
-def test_factorization_validates():
-    with pytest.raises(ValueError):
-        Factorization(((4, 1),))  # not prime
-    with pytest.raises(ValueError):
-        Factorization(((3, 1), (2, 1)))  # not sorted
-    with pytest.raises(ValueError):
-        Factorization(((2, 0),))  # exponent
+        assert factorize(n) == _factorize_by_loop(n), n
+    assert factorize(10**12 + 39) == ((10**12 + 39, 1),)
 
 
 def test_divisors_sorted():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
-    assert factorize(5929).divisors() == [1, 7, 11, 49, 77, 121, 539, 847, 5929]
+    assert divisors(5929) == [1, 7, 11, 49, 77, 121, 539, 847, 5929]
 
 
 def test_is_prime_matches_sieve():
@@ -336,6 +332,67 @@ def test_cyclotomic_divides_all_ones_block():
     assert not cyclotomic_divides(7, block)  # 7 does not divide 360
 
 
+# The F_q oracle: for a prime q = 1 mod s, F_q has an element zeta of order
+# exactly s, a root of Phi_s there, so Phi_s | f gives f(zeta) = 0 mod q. A
+# nonzero value at either of two primes q > 2^61 proves Phi_s does not
+# divide f; a zero at both beside "does not divide" would be a fault of the
+# kernel, or a coincidence with chance about deg f / q.
+
+
+@functools.cache
+def _fq_roots(s: int) -> tuple[tuple[int, int], ...]:
+    """Two (q, zeta): q > 2^61 prime with q = 1 mod s, zeta of order s mod q."""
+    primes = [p for p, _ in factorize(s)]
+    roots = []
+    for k in itertools.count(2**61 // s + 1):
+        q = k * s + 1
+        if not isprime(q):
+            continue
+        for x in itertools.count(2):
+            zeta = pow(x, (q - 1) // s, q)  # zeta^s = 1; order s unless below
+            if all(pow(zeta, s // p, q) != 1 for p in primes):
+                break
+        roots.append((q, zeta))
+        if len(roots) == 2:
+            return tuple(roots)
+
+
+def _fq_agrees(s: int, f: dict[int, int]) -> bool:
+    """Whether the kernel's verdict on Phi_s | f matches f at the two zetas."""
+    values = [
+        sum(c * pow(zeta, e % s, q) for e, c in f.items()) % q for q, zeta in _fq_roots(s)
+    ]
+    return not any(values) if cyclotomic_divides(s, f) else any(values)
+
+
+def test_cyclotomic_divides_agrees_with_fq_on_small_sets():
+    # every set within {0..10} at each s >= 2 with phi(s) <= D, the indices
+    # cm_report may test; phi(s) >= sqrt(s / 2), so s <= 2 D^2 holds them all
+    pairs = 0
+    for tile in enumerate_normalized_sets(10):
+        diam = tile.diameter()
+        mask = dict.fromkeys(tile.elements, 1)
+        for s in range(2, 2 * diam * diam + 1):
+            if euler_phi(s) <= diam:
+                pairs += 1
+                assert _fq_agrees(s, mask), (tile.elements, s)
+    assert pairs == 17625
+
+
+def test_cyclotomic_divides_agrees_with_fq_on_the_theorem2_sets(desk_instance):
+    # A, B0 and B of the (7, 11, 13, 2) tiling at every s > 1 dividing M,
+    # indices far past the dense oracle's reach
+    inst = desk_instance
+    modulus = inst.modulus
+    dividing = 0
+    for elements in (inst.tile, inst.complement_base, inst.complement):
+        mask = dict.fromkeys(elements.elements, 1)
+        for s in divisors(modulus)[1:]:
+            assert _fq_agrees(s, mask), s
+            dividing += cyclotomic_divides(s, mask)
+    assert (len(divisors(modulus)), dividing) == (27, 45)
+
+
 def _vanishes_all_classes(terms: dict[int, int], s: int) -> bool:
     """Reference: the kernel as it was when it built all p classes at every
     level, whatever the number of terms; verbatim apart from its name."""
@@ -384,7 +441,7 @@ def sparse_maps(draw):
     p | s, each of which vanishes at a primitive s-th root of unity."""
     s = draw(st.one_of(st.integers(1, 20000), st.sampled_from((4373, 19997, 8746, 17161))))
     terms: dict[int, int] = {}
-    for p in draw(st.lists(st.sampled_from(factorize(s).primes or (1,)), max_size=2)):
+    for p in draw(st.lists(st.sampled_from([p for p, _ in factorize(s)] or [1]), max_size=2)):
         e, c = draw(st.integers(0, s - 1)), draw(st.integers(-2, 2))
         for j in range(p):
             r = (e + j * (s // p)) % s
@@ -419,7 +476,7 @@ def tower_maps(draw):
     others = [r for r in (2, 3, 5, 7, 11, 13) if r != p]
     s = p ** draw(st.integers(0, 12)) * math.prod(draw(st.sets(st.sampled_from(others), max_size=2)))
     terms: dict[int, int] = {}
-    for r in draw(st.lists(st.sampled_from(factorize(s).primes or (1,)), max_size=4)):
+    for r in draw(st.lists(st.sampled_from([p for p, _ in factorize(s)] or [1]), max_size=4)):
         e, c = draw(st.integers(0, s - 1)), draw(st.integers(-2, 2))
         for j in range(r):
             x = (e + j * (s // r)) % s
@@ -467,7 +524,7 @@ def test_vanishes_depth_is_the_number_of_primes(monkeypatch):
 
     monkeypatch.setattr(polyring, "_vanishes", counting)
     for s in (2**1101, 3**700, 2**40 * 3**30 * 5, 7**12 * 11 * 13, 360, 9699690):
-        primes = factorize(s).primes
+        primes = [p for p, _ in factorize(s)]
         deepest = 0
         assert cyclotomic_divides(s, {j * (s // primes[-1]): 1 for j in range(primes[-1])})
         assert deepest == len(primes), s

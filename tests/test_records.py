@@ -17,8 +17,8 @@ from inttiles.constructions import (
     diameter_counterexample,
     theorem2_exponent_report,
 )
-from inttiles.polyring import Factorization, IntPolynomial, Record
-from inttiles.search import SearchConfig, minimal_tiling_period
+from inttiles.polyring import IntPolynomial, Record
+from inttiles.search import PeriodResult, minimal_tiling_period
 from inttiles.tilingset import CyclicTiling, IntegerSet, is_tiling
 
 
@@ -31,11 +31,9 @@ def _records():
     instance = Theorem2Instance(params, 4, tile, complement, complement, 0, 2, 1, 1.5, checks)
     return [
         IntPolynomial((1, 0, -2)),
-        Factorization(((2, 3), (5, 1))),
         tile,
         is_tiling(tile, IntegerSet.of(0, 1), 4),
         CyclicTiling(tile, complement, 4),
-        SearchConfig(node_budget=5),
         minimal_tiling_period(IntegerSet.of(0, 2)),
         cm_report(IntegerSet.of(0, 1, 3)),
         fiber_decompose(IntegerSet.of(0, 3), 6, 2),
@@ -50,12 +48,14 @@ def _records():
 def test_record_contract():
     values = _records()
     classes = [type(x) for x in values]
-    # one value of each of the 14 record classes, and no class left out
-    assert len(classes) == 14
+    # one value of each of the 12 record classes, and no class left out
+    assert len(classes) == 12
     assert sorted(classes, key=str) == sorted(Record.__subclasses__(), key=str)
     names = {cls.__name__: cls for cls in classes} | {"Fraction": Fraction}
-    assert repr(SearchConfig(node_budget=5)) == (
-        "SearchConfig(candidate_mode='restricted', max_modulus_override=None, node_budget=5)"
+    inconclusive = PeriodResult("inconclusive", None, None, 5)
+    assert repr(inconclusive) == (
+        "PeriodResult(status='inconclusive', period=None, complement=None, cap_used=5, "
+        "explored=())"
     )
     assert repr(IntegerSet.of(0, 2)) == "IntegerSet(elements=(0, 2))"
     for x in values:
@@ -81,7 +81,7 @@ def test_record_contract():
                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for y in [*copies, copy.deepcopy(x), copy.copy(x)]:
             assert type(y) is cls and y == x and list(vars(y)) == list(fields)
-    assert SearchConfig(node_budget=5) != SearchConfig(node_budget=6)
+    assert inconclusive != PeriodResult("inconclusive", None, None, 6)
     assert IntegerSet.of(0, 1) != IntPolynomial((0, 1))
 
 

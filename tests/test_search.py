@@ -20,7 +20,6 @@ from inttiles.search import (
     SEARCH_MODULUS_LIMIT,
     NodeBudgetExceeded,
     PeriodResult,
-    SearchConfig,
     default_cap,
     find_complement,
     minimal_tiling_period,
@@ -207,7 +206,8 @@ def test_find_complement_rejects_a_nonpositive_modulus(modulus):
 
 @pytest.mark.parametrize("node_budget", [0, -5])
 def test_find_complement_rejects_a_nonpositive_node_budget(node_budget):
-    # as SearchConfig does, rather than a NodeBudgetExceeded at the first node
+    # as minimal_tiling_period does, rather than a NodeBudgetExceeded at the
+    # first node
     with pytest.raises(ValueError, match="node_budget must be positive"):
         find_complement(IntegerSet.of(0, 1), 4, node_budget)
 
@@ -407,7 +407,7 @@ def test_restricted_candidates():
 def _restricted_candidates_by_filter(size, cap):
     """The generator before it seeded its heap with size: every product of
     the primes of size, from 1 up, kept when size divides it."""
-    primes = factorize(size).primes
+    primes = [p for p, _ in factorize(size)]
     heap = [1]
     seen = {1}
     while heap:
@@ -469,22 +469,16 @@ def test_minimal_period_result_verifies():
 
 
 def test_minimal_period_cap_override_downgrades_negative():
-    r = minimal_tiling_period(
-        IntegerSet.of(0, 1, 3), SearchConfig(max_modulus_override=3)
-    )
+    r = minimal_tiling_period(IntegerSet.of(0, 1, 3), cap=3)
     assert r.status == "inconclusive"
     assert r.cap_used == 3
     # an override at or above the default keeps the proof-complete verdict
-    r = minimal_tiling_period(
-        IntegerSet.of(0, 1, 3), SearchConfig(max_modulus_override=6)
-    )
+    r = minimal_tiling_period(IntegerSet.of(0, 1, 3), cap=6)
     assert r.status == "does_not_tile"
 
 
 def test_minimal_period_node_budget_inconclusive():
-    r = minimal_tiling_period(
-        IntegerSet.of(0, 1, 4, 5), SearchConfig(node_budget=1)
-    )
+    r = minimal_tiling_period(IntegerSet.of(0, 1, 4, 5), node_budget=1)
     assert r.status == "inconclusive"
     assert r.explored[-1][1] == "budget_exhausted"
 
@@ -494,7 +488,7 @@ def test_minimal_period_node_budget_counts_the_coset_search():
     # translates in 2048 nodes; the coset search at 4096 / 2048 needs one,
     # and the budget counts the search that runs
     tile = IntegerSet.of(0, 2048)
-    result = minimal_tiling_period(tile, SearchConfig(node_budget=1))
+    result = minimal_tiling_period(tile, node_budget=1)
     assert (result.status, result.period, result.explored[-1]) == (
         "tiles", 4096, (4096, "tiles")
     )
@@ -525,9 +519,7 @@ def test_coset_search_takes_no_more_nodes_than_the_full_search():
 
 
 def test_minimal_period_unrestricted_mode():
-    r = minimal_tiling_period(
-        IntegerSet.of(0, 2), SearchConfig(candidate_mode="unrestricted")
-    )
+    r = minimal_tiling_period(IntegerSet.of(0, 2), mode="unrestricted")
     assert (r.status, r.period) == ("tiles", 4)
     assert [m for m, _ in r.explored] == [2, 4]
 
@@ -537,27 +529,24 @@ def test_restricted_equals_unrestricted_small():
     # in the acceptance suite
     for mask in range(1 << 7):
         tile = IntegerSet((0,) + tuple(i + 1 for i in range(7) if mask >> i & 1))
-        restricted = minimal_tiling_period(tile, SearchConfig())
-        unrestricted = minimal_tiling_period(
-            tile, SearchConfig(candidate_mode="unrestricted")
-        )
+        restricted = minimal_tiling_period(tile)
+        unrestricted = minimal_tiling_period(tile, mode="unrestricted")
         assert restricted.status == unrestricted.status, tile
         assert restricted.period == unrestricted.period, tile
 
 
-def _probe_every_candidate(tile, config):
+def _probe_every_candidate(tile, mode, cap, node_budget):
     """The period search before local refutations: every candidate searched.
 
     Without a budget the full search is the reference. A budget counts the
     nodes of the coset search, so under one the reference searches A/g at
     M/g itself and expands the complement over the g cosets.
     """
-    cap = default_cap(tile)
-    proof_complete = True
-    if config.max_modulus_override is not None:
-        proof_complete = config.max_modulus_override >= cap
-        cap = config.max_modulus_override
-    if config.candidate_mode == "restricted":
+    proof_cap = default_cap(tile)
+    if cap is None:
+        cap = proof_cap
+    proof_complete = cap >= proof_cap
+    if mode == "restricted":
         candidates = restricted_candidates(len(tile), cap)
     else:
         candidates = unrestricted_candidates(len(tile), cap)
@@ -566,10 +555,10 @@ def _probe_every_candidate(tile, config):
         if len({x % m for x in tile.elements}) != len(tile):
             explored.append((m, "not_injective"))
             continue
-        g = 1 if config.node_budget is None else math.gcd(m, *tile.elements)
+        g = 1 if node_budget is None else math.gcd(m, *tile.elements)
         try:
             found = find_complement(
-                IntegerSet(x // g for x in tile.elements), m // g, config.node_budget
+                IntegerSet(x // g for x in tile.elements), m // g, node_budget
             )
         except NodeBudgetExceeded:
             explored.append((m, "budget_exhausted"))
@@ -589,14 +578,14 @@ def test_period_search_matches_probing_every_candidate():
     # Within {0..8} each of those probes fits the budget too, so the two
     # agree on every config
     configs = [
-        SearchConfig(candidate_mode=mode, max_modulus_override=cap, node_budget=budget)
+        dict(mode=mode, cap=cap, node_budget=budget)
         for mode, cap in (("restricted", None), ("restricted", 150), ("unrestricted", 150))
         for budget in (None, 1, 50, 500)
     ]
     for tile in enumerate_normalized_sets(8):
         for config in configs:
-            assert minimal_tiling_period(tile, config) == _probe_every_candidate(
-                tile, config
+            assert minimal_tiling_period(tile, **config) == _probe_every_candidate(
+                tile, **config
             ), (tile, config)
 
 
@@ -675,8 +664,7 @@ def _count_draws(monkeypatch, limit):
 def test_period_search_draws_candidates_lazily(monkeypatch, mode):
     # {0,1} tiles at the first candidate, 2; the cap must not be enumerated
     drawn = _count_draws(monkeypatch, limit=3)
-    config = SearchConfig(candidate_mode=mode, max_modulus_override=10**12)
-    result = minimal_tiling_period(IntegerSet.of(0, 1), config)
+    result = minimal_tiling_period(IntegerSet.of(0, 1), mode=mode, cap=10**12)
     assert (result.status, result.period) == ("tiles", 2)
     assert drawn == [1]
 
@@ -688,13 +676,22 @@ def test_ordered_map_keeps_input_order():
     assert got == [str(i) for i in range(n)]
 
 
-def test_search_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(candidate_mode="fancy")
-    with pytest.raises(ValueError):
-        SearchConfig(max_modulus_override=0)
-    with pytest.raises(ValueError):
-        SearchConfig(node_budget=0)
+def test_minimal_period_rejects_bad_settings(monkeypatch):
+    # each before any search, and the settings are keyword-only, so a
+    # second positional argument is a TypeError
+    def forbidden(*args):
+        raise AssertionError("a probe ran before the settings were checked")
+
+    monkeypatch.setattr(search, "_probe", forbidden)
+    tile = IntegerSet.of(0, 1)
+    with pytest.raises(ValueError, match="unknown mode 'fancy'"):
+        minimal_tiling_period(tile, mode="fancy")
+    with pytest.raises(ValueError, match="cap must be positive"):
+        minimal_tiling_period(tile, cap=0)
+    with pytest.raises(ValueError, match="node_budget must be positive"):
+        minimal_tiling_period(tile, node_budget=0)
+    with pytest.raises(TypeError):
+        minimal_tiling_period(tile, "restricted")
 
 
 def test_period_result_json():
