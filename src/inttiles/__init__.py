@@ -57,9 +57,8 @@ _LAZY = {
         "cmcheck",
     ),
     **dict.fromkeys(
-        ("CounterexampleReport", "ExponentReport", "Theorem2Instance", "Theorem2Params",
-         "diameter_counterexample", "standard_tile", "theorem2_exponent_report",
-         "theorem2_generate"),
+        ("CounterexampleReport", "Theorem2Instance", "Theorem2Params",
+         "diameter_counterexample", "standard_tile", "theorem2_generate"),
         "constructions",
     ),
 }
@@ -85,7 +84,6 @@ __all__ = [
     "CmReport",
     "CounterexampleReport",
     "CyclicTiling",
-    "ExponentReport",
     "FiberDecomposition",
     "InconsistentRoutesError",
     "IntPolynomial",
@@ -116,7 +114,6 @@ __all__ = [
     "spectrum",
     "standard_tile",
     "period_bound_check",
-    "theorem2_exponent_report",
     "theorem2_generate",
     "top_power_witnesses",
 ]

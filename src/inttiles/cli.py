@@ -241,12 +241,7 @@ def _run_min_period(args):
 
 
 def _run_construct(args):
-    from .constructions import (
-        Theorem2Params,
-        standard_tile,
-        theorem2_exponent_report,
-        theorem2_generate,
-    )
+    from .constructions import Theorem2Params, standard_tile, theorem2_generate
 
     if args.kind == "theorem2":
         primes = _parse_int_list(args.p, "--p")
@@ -264,10 +259,7 @@ def _run_construct(args):
             target_beta=_parse_fraction(args.beta, "--beta"),
             epsilon=_parse_fraction(args.epsilon, "--epsilon"),
         )
-        instance = theorem2_generate(params)
-        payload = instance.to_json_dict()
-        payload["exponent_report"] = theorem2_exponent_report(instance).to_json_dict()
-        return payload, 0, None
+        return theorem2_generate(params).to_json_dict(), 0, None
     spec = []
     for part in args.powers.split(","):
         if "^" in part:

@@ -10,7 +10,14 @@ itself, while diam(A) stays near M^(2/3); this realizes tiling periods
 around diam^beta for any beta < 3/2. Every generated instance is verified
 numerically: both tilings, the least periods, and the diameter bound.
 
-Every set built here is a sum of arithmetic progressions, formed by `_sums`.
+The exponent verdicts (the diameter bound, beta < alpha < 3/2 and the
+prime-growth condition) depend only on the parameters, so they are
+properties of Theorem2Params. Theorem2Instance stores only what it cannot
+derive, and its to_json_dict is the whole `construct theorem2` payload,
+exponent report included.
+
+A and the box tiles are sums of arithmetic progressions, formed by `_sums`;
+B0 is the subgroup of multiples of p1*p2*p3.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .polyring import JSON_CONVERTERS, Record, factorize, is_prime
 from .tilingset import IntegerSet, is_tiling, least_period
 
 # epsilon < 3 keeps alpha positive; with epsilon = a/b and b at most this, the
-# exact comparison in theorem2_exponent_report takes powers below 6*b*n.
+# exact comparison in Theorem2Params.prime_growth_ok takes powers below 6*b*n.
 EPSILON_DENOMINATOR_LIMIT = 10**4
 
 # a fraction is the JSON string "p/q" (see Record.to_json_dict)
@@ -35,7 +42,7 @@ JSON_CONVERTERS[Fraction] = str
 class Theorem2Params(Record):
     """Parameters of the column-shift construction.
 
-    target_beta and epsilon only feed the exponent report; the construction
+    target_beta and epsilon only feed the exponent verdicts; the construction
     itself is determined by the primes and n.
     """
 
@@ -76,6 +83,28 @@ class Theorem2Params(Record):
         if self.epsilon is None:
             return None
         return (3 - self.epsilon) * self.n / Fraction(2 * self.n + 1)
+
+    @property
+    def diam_upper_bound(self) -> int:
+        """3M / p1^(n-1), rounded down: the tile's diameter is at most this."""
+        return 3 * self.modulus // self.p1 ** (self.n - 1)
+
+    @property
+    def beta_below_alpha(self) -> bool | None:
+        """Whether target_beta < alpha < 3/2, given both targets."""
+        if self.target_beta is None or self.epsilon is None:
+            return None
+        return self.target_beta < self.alpha < Fraction(3, 2)
+
+    @property
+    def prime_growth_ok(self) -> bool | None:
+        """Whether (p1^epsilon / 2)^n > (3/2)^(3/2), compared exactly on integers."""
+        if self.epsilon is None:
+            return None
+        # (p1^eps / 2)^n > (3/2)^(3/2)  <=>  p1^(2an) * 2^(3b) > 3^(3b) * 2^(2bn)
+        # after raising both sides to the 2b-th power, eps = a/b.
+        a, b, n = self.epsilon.numerator, self.epsilon.denominator, self.n
+        return self.p1 ** (2 * a * n) * 2 ** (3 * b) > 3 ** (3 * b) * 2 ** (2 * b * n)
 
 
 class Theorem2Checks(Record):
@@ -120,32 +149,41 @@ class Theorem2Instance(Record):
     def __init__(
         self,
         params: Theorem2Params,
-        modulus: int,
         tile: IntegerSet,
         complement_base: IntegerSet,
         complement: IntegerSet,
         shift_a: int,
         shift_b: int,
-        diam: int,
-        log_ratio: float,
         checks: Theorem2Checks,
     ):
         vars(self).update(
             params=params,
-            modulus=modulus,
             tile=tile,
             complement_base=complement_base,
             complement=complement,
             shift_a=shift_a,
             shift_b=shift_b,
-            diam=diam,
-            log_ratio=log_ratio,
             checks=checks,
         )
 
+    @property
+    def modulus(self) -> int:
+        return self.params.modulus
+
+    @property
+    def diam(self) -> int:
+        return self.tile.diameter()
+
+    @property
+    def log_ratio(self) -> float:
+        """The achieved exponent log(M) / log(diam)."""
+        return math.log(self.modulus) / math.log(self.diam)
+
     def to_json_dict(self) -> dict:
+        params = self.params
+        alpha = params.alpha
         d = {
-            "params": self.params.to_json_dict(),
+            "params": params.to_json_dict(),
             "M": self.modulus,
             "a": self.shift_a,
             "b": self.shift_b,
@@ -156,8 +194,20 @@ class Theorem2Instance(Record):
             "log_ratio": self.log_ratio,
             "checks": self.checks.to_json_dict(),
         }
-        if self.params.alpha is not None:
-            d["alpha"] = str(self.params.alpha)
+        if alpha is not None:
+            d["alpha"] = str(alpha)
+        # how close the instance gets to the exponent target; None verdicts
+        # are left out, as in every record
+        report = {
+            "diam": d["diam_A"],
+            "diam_upper_bound": params.diam_upper_bound,
+            "diam_within_bound": self.checks.diam_within_bound,
+            "exponent": d["log_ratio"],
+            "alpha": d.get("alpha"),
+            "beta_below_alpha": params.beta_below_alpha,
+            "prime_growth_ok": params.prime_growth_ok,
+        }
+        d["exponent_report"] = {k: v for k, v in report.items() if v is not None}
         return d
 
 
@@ -183,9 +233,8 @@ def theorem2_generate(params: Theorem2Params) -> Theorem2Instance:
     steps = [modulus // p**n for p in ps]
     tile = IntegerSet.from_iterable(_sums(range(0, p * s, s) for p, s in zip(ps, steps)))
     columns = [range(0, modulus, p * s) for p, s in zip(ps, steps)]
-    # raw sums can exceed M; they are pairwise distinct mod M, so folding
-    # keeps the cardinality (from_iterable would reject a collision)
-    complement_base = IntegerSet.from_iterable(x % modulus for x in _sums(columns))
+    # the columns generate the subgroup of multiples of p1*p2*p3
+    complement_base = IntegerSet(range(0, modulus, params.p1 * params.p2 * params.p3))
 
     # the last term of each column is (p^(n-1) - 1) * M / p^(n-1)
     shift_a = columns[2][-1]
@@ -204,7 +253,6 @@ def theorem2_generate(params: Theorem2Params) -> Theorem2Instance:
         )
     complement = IntegerSet(sorted(e for e, c in counts.items() if c == 1))
 
-    diam = tile.diameter()
     verdict_base = bool(is_tiling(tile, complement_base, modulus))
     verdict_shifted = bool(is_tiling(tile, complement, modulus))
     lp_shifted = least_period(complement, modulus)
@@ -218,77 +266,16 @@ def theorem2_generate(params: Theorem2Params) -> Theorem2Instance:
         base_least_period=lp_base,
         base_period_proper=all((modulus // p) % lp_base == 0 for p in ps),
         prime_set_match=prime_sets[0] == prime_sets[1],
-        diam_within_bound=diam * params.p1 ** (n - 1) <= 3 * modulus,
+        diam_within_bound=tile.diameter() <= params.diam_upper_bound,
     )
     return Theorem2Instance(
         params=params,
-        modulus=modulus,
         tile=tile,
         complement_base=complement_base,
         complement=complement,
         shift_a=shift_a,
         shift_b=shift_b,
-        diam=diam,
-        log_ratio=math.log(modulus) / math.log(diam),
         checks=checks,
-    )
-
-
-class ExponentReport(Record):
-    """How close an instance gets to the construction's exponent target."""
-
-    def __init__(
-        self,
-        diam: int,
-        diam_upper_bound: int,
-        diam_within_bound: bool,
-        exponent: float,
-        alpha: Fraction | None = None,
-        beta_below_alpha: bool | None = None,
-        prime_growth_ok: bool | None = None,
-    ):
-        vars(self).update(
-            diam=diam,
-            diam_upper_bound=diam_upper_bound,
-            diam_within_bound=diam_within_bound,
-            exponent=exponent,
-            alpha=alpha,
-            beta_below_alpha=beta_below_alpha,
-            prime_growth_ok=prime_growth_ok,
-        )
-
-
-def theorem2_exponent_report(instance: Theorem2Instance) -> ExponentReport:
-    """Diameter bound, achieved exponent, and the sufficient conditions.
-
-    The achieved exponent is log(M) / log(diam). When target_beta and
-    epsilon are supplied, also reports whether beta < alpha < 3/2 and
-    whether (p1^epsilon / 2)^n > (3/2)^(3/2); the latter comparison is done
-    on integers after clearing denominators, so it is exact.
-    """
-    params = instance.params
-    bound = 3 * instance.modulus // params.p1 ** (params.n - 1)
-    alpha = params.alpha
-    beta_ok = None
-    growth_ok = None
-    if params.target_beta is not None and alpha is not None:
-        beta_ok = params.target_beta < alpha < Fraction(3, 2)
-    if params.epsilon is not None:
-        # (p1^eps / 2)^n > (3/2)^(3/2)  <=>  p1^(2an) * 2^(3b) > 3^(3b) * 2^(2bn)
-        # after raising both sides to the 2b-th power, eps = a/b.
-        a, b = params.epsilon.numerator, params.epsilon.denominator
-        n = params.n
-        growth_ok = params.p1 ** (2 * a * n) * 2 ** (3 * b) > 3 ** (3 * b) * 2 ** (
-            2 * b * n
-        )
-    return ExponentReport(
-        diam=instance.diam,
-        diam_upper_bound=bound,
-        diam_within_bound=instance.checks.diam_within_bound,
-        exponent=instance.log_ratio,
-        alpha=alpha,
-        beta_below_alpha=beta_ok,
-        prime_growth_ok=growth_ok,
     )
 
 

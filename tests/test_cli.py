@@ -180,13 +180,11 @@ def test_construct_theorem2():
 
 def test_theorem2_schema_rejects_missing_and_stray_fields(desk_instance):
     # the payload construct theorem2 prints, without --beta and --epsilon;
-    # its three 1,001-element sets are cut to one element, since validating
-    # them takes about 36 ms a payload
-    payload = desk_instance.to_json_dict() | {"A": [0], "B0": [0], "B": [0]}
-    payload["exponent_report"] = constructions.theorem2_exponent_report(
-        desk_instance
-    ).to_json_dict()
+    # the broken copies cut its three 1,001-element sets to one element,
+    # since validating them takes about 36 ms a payload
     validator = jsonschema.Draft202012Validator(PAYLOAD_SCHEMAS["construct-theorem2"])
+    assert validator.is_valid(desk_instance.to_json_dict())
+    payload = desk_instance.to_json_dict() | {"A": [0], "B0": [0], "B": [0]}
     assert validator.is_valid(payload)
 
     def edited(obj, key, value=None):
@@ -284,6 +282,21 @@ GOLDEN_RUNS = [
         ("construct", "box", "--powers", "2^3,3^2,5^1"),
         "d7f57abfa7096306b6460175d6e562fef55b1de873983b1816f61cefe5ac5fc6",
         id="construct-box-three-primes",
+    ),
+    pytest.param(  # with no target the report has no verdict keys
+        ("construct", "theorem2", "--p", "7,11,13", "--n", "2"),
+        "7e7bdf5c0a091192a2d897bd0f4a8239a5aa3b724011fc3ada89334996150b39",
+        id="construct-theorem2-no-targets",
+    ),
+    pytest.param(  # alpha and prime_growth_ok, no beta_below_alpha
+        ("construct", "theorem2", "--p", "7,11,13", "--n", "2", "--epsilon", "1/10"),
+        "b6f55d57f84fd0416c8495610f02bada2c8fbcd35e1c250284c89de570db33bd",
+        id="construct-theorem2-epsilon",
+    ),
+    pytest.param(  # beta alone sets no verdict
+        ("construct", "theorem2", "--p", "7,11,13", "--n", "2", "--beta", "11/10"),
+        "51f7ace71ebc77bc3657f1a108eb991c4692005fd6e4f06080d7080ea65a8a52",
+        id="construct-theorem2-beta",
     ),
     pytest.param(
         ("construct", "theorem2", "--p", "7,11,13", "--n", "2",

@@ -7,11 +7,9 @@ from inttiles.cmcheck import check_t1, check_t2, cm_report, spectrum
 from inttiles import constructions
 from inttiles.constructions import (
     EPSILON_DENOMINATOR_LIMIT,
-    Theorem2Instance,
     Theorem2Params,
     diameter_counterexample,
     standard_tile,
-    theorem2_exponent_report,
     theorem2_generate,
 )
 from inttiles.polyring import factorize
@@ -127,34 +125,33 @@ def test_instance_determinism(desk_instance):
 
 
 def test_exponent_report(desk_instance):
-    rep = theorem2_exponent_report(desk_instance)
-    assert rep.diam == 276652
-    assert rep.diam_upper_bound == 3 * 1002001 // 7 == 429429
-    assert rep.diam_within_bound
-    assert abs(rep.exponent - math.log(1002001) / math.log(276652)) < 1e-12
-    assert abs(rep.exponent - 1.1026) < 1e-3
-    assert rep.alpha is None and rep.beta_below_alpha is None
+    assert DESK.diam_upper_bound == 3 * 1002001 // 7 == 429429
+    assert DESK.beta_below_alpha is None and DESK.prime_growth_ok is None
+    report = desk_instance.to_json_dict()["exponent_report"]
+    # the None verdicts are left out
+    assert list(report) == ["diam", "diam_upper_bound", "diam_within_bound", "exponent"]
+    assert report["diam"] == desk_instance.diam == 276652
+    assert report["diam_upper_bound"] == 429429 and report["diam_within_bound"]
+    assert report["exponent"] == desk_instance.log_ratio
+    assert desk_instance.log_ratio == math.log(1002001) / math.log(276652)
+    assert abs(desk_instance.log_ratio - 1.1026) < 1e-3
 
 
-def _with_params(instance, params):
-    """instance with its params replaced, rebuilt through the constructor."""
-    return Theorem2Instance(**{**vars(instance), "params": params})
-
-
-def test_exponent_report_with_targets(desk_instance):
-    # the targets feed only the report, so reuse the generated instance
-    with_targets = _with_params(
-        desk_instance,
-        Theorem2Params(7, 11, 13, 2, target_beta=Fraction(11, 10), epsilon=Fraction(1, 10)),
-    )
-    rep = theorem2_exponent_report(with_targets)
-    assert rep.alpha == Fraction(29, 25)
-    assert rep.beta_below_alpha is True  # 11/10 < 29/25 < 3/2
+def test_exponent_report_with_targets():
+    # the targets feed only the verdicts, which the parameters decide
+    params = Theorem2Params(7, 11, 13, 2, target_beta=Fraction(11, 10), epsilon=Fraction(1, 10))
+    assert params.alpha == Fraction(29, 25)
+    assert params.beta_below_alpha is True  # 11/10 < 29/25 < 3/2
     # 7^(1/10) / 2 < 1, so the prime-growth condition fails at desk scale
-    assert rep.prime_growth_ok is False
+    assert params.prime_growth_ok is False
+    # beta_below_alpha needs both targets
+    assert Theorem2Params(7, 11, 13, 2, target_beta=Fraction(11, 10)).beta_below_alpha is None
+    # beta = 6/5 is not below alpha = 29/25
+    assert Theorem2Params(
+        7, 11, 13, 2, target_beta=Fraction(6, 5), epsilon=Fraction(1, 10)
+    ).beta_below_alpha is False
     # exact comparison sanity: it holds once p1^eps exceeds 2
-    big = _with_params(desk_instance, Theorem2Params(7, 11, 13, 2, epsilon=Fraction(2)))
-    assert theorem2_exponent_report(big).prime_growth_ok is True
+    assert Theorem2Params(7, 11, 13, 2, epsilon=Fraction(2)).prime_growth_ok is True
 
 
 @pytest.mark.parametrize(
@@ -163,12 +160,11 @@ def test_exponent_report_with_targets(desk_instance):
                                                       EPSILON_DENOMINATOR_LIMIT),
      Fraction(1, 3), Fraction(5, 4), Fraction(7, 3)],
 )
-def test_exponent_report_verdict_at_epsilon_bounds(desk_instance, epsilon):
+def test_exponent_report_verdict_at_epsilon_bounds(epsilon):
     # the exact comparison agrees with floats away from the threshold, and
     # stays cheap at the largest epsilon and denominator accepted
-    inst = _with_params(desk_instance, Theorem2Params(7, 11, 13, 2, epsilon=epsilon))
     expected = (7 ** float(epsilon) / 2) ** 2 > 1.5**1.5
-    assert theorem2_exponent_report(inst).prime_growth_ok is expected
+    assert Theorem2Params(7, 11, 13, 2, epsilon=epsilon).prime_growth_ok is expected
 
 
 def test_second_desk_instance():

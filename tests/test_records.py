@@ -10,12 +10,10 @@ import pytest
 
 from inttiles.cmcheck import cm_report, fiber_decompose
 from inttiles.constructions import (
-    ExponentReport,
     Theorem2Checks,
     Theorem2Instance,
     Theorem2Params,
     diameter_counterexample,
-    theorem2_exponent_report,
 )
 from inttiles.polyring import IntPolynomial, Record
 from inttiles.search import PeriodResult, minimal_tiling_period
@@ -28,7 +26,7 @@ def _records():
     params = Theorem2Params(7, 11, 13, 2, target_beta=Fraction(11, 10), epsilon=Fraction(1, 10))
     checks = Theorem2Checks(True, True, 4, True, 2, True, True, True)
     # small stand-in fields: the contract does not depend on them
-    instance = Theorem2Instance(params, 4, tile, complement, complement, 0, 2, 1, 1.5, checks)
+    instance = Theorem2Instance(params, tile, complement, complement, 0, 2, checks)
     return [
         IntPolynomial((1, 0, -2)),
         tile,
@@ -40,7 +38,6 @@ def _records():
         params,
         checks,
         instance,
-        theorem2_exponent_report(instance),
         diameter_counterexample(5, 7)[1],
     ]
 
@@ -48,8 +45,8 @@ def _records():
 def test_record_contract():
     values = _records()
     classes = [type(x) for x in values]
-    # one value of each of the 12 record classes, and no class left out
-    assert len(classes) == 12
+    # one value of each of the 11 record classes, and no class left out
+    assert len(classes) == 11
     assert sorted(classes, key=str) == sorted(Record.__subclasses__(), key=str)
     names = {cls.__name__: cls for cls in classes} | {"Fraction": Fraction}
     inconclusive = PeriodResult("inconclusive", None, None, 5)
@@ -103,8 +100,8 @@ def test_to_json_dict_rule():
         }
         assert x.to_json_dict() == expected, type(x)
         assert list(x.to_json_dict()) == list(expected)
-        if type(x) is ExponentReport:
-            assert x.to_json_dict()["alpha"] == "29/25"
+        if type(x) is Theorem2Params:
+            assert x.to_json_dict()["target_beta"] == "11/10"
     # any other type passes through, so json.dumps refuses it
     odd = Theorem2Checks(object(), True, 4, True, 2, True, True, True)
     with pytest.raises(TypeError):

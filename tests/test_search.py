@@ -12,6 +12,7 @@ import pytest
 
 from conftest import enumerate_normalized_sets, subprocess_env
 from inttiles import search
+from inttiles.cmcheck import cm_report
 from inttiles.cli import CORPUS_CHUNK, ordered_map, worker_count
 from inttiles.faults import WitnessViolationError
 from inttiles.polyring import cyclotomic_divides, factorize
@@ -452,6 +453,28 @@ def test_minimal_period_examples():
     r = minimal_tiling_period(IntegerSet.of(0, 1, 4, 5))
     assert (r.status, r.period, r.complement.elements) == ("tiles", 8, (0, 2))
     assert r.explored == ((4, "not_injective"), (8, "tiles"))
+
+
+# N in 2..64, and even N up to 8190 whose 2-adic parts reach 2^12
+_TWO_STEP_WIDTHS = [*range(2, 65), *sorted(
+    {2**k * m for k in range(1, 13) for m in (1, 3, 5, 63) if 64 < 2**k * m <= 8190} | {8190}
+)]
+
+
+def test_two_step_tiles_exactly_at_its_t1_period():
+    # {0,1,N,N+1} has mask (1+X)(1+X^N), so S_A = {2, 2^(v+1)} with
+    # v = v_2(N): (T1) holds exactly when N is even, and then the set tiles
+    # at lcm_sa = 2^(v+1). Odd N past 64 are left out, since refuting them
+    # takes the search seconds each
+    for width in _TWO_STEP_WIDTHS:
+        tile = IntegerSet.of(0, 1, width, width + 1)
+        report, result = cm_report(tile), minimal_tiling_period(tile)
+        assert (result.status == "tiles") == report.t1 == (width % 2 == 0), width
+        if report.t1:
+            assert result.period == report.lcm_sa == 2 * (width & -width), width
+            assert is_tiling(tile, result.complement, result.period).tiles
+        else:
+            assert result.status == "does_not_tile", width
 
 
 def test_minimal_period_does_not_tile():
