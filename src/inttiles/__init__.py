@@ -12,10 +12,12 @@ paper's tilings and counterexamples) are resolved on first access, so
 a subcommand needs one: `min-period` loads `search`, `analyze` loads
 `cmcheck`, `corpus` loads both, `construct` and `counterexample` load
 `constructions`, and `check-tiling` loads none of them. The value classes
-derive from `polyring.Record`, so no module loads `dataclasses` (which
-loads `inspect`, `ast`, `dis` and `tokenize`) or `typing`. `fractions`
-(with `decimal` and `numbers`) is loaded only by `constructions`, so only
-`construct` and `counterexample` load it, and no command loads `pathlib`.
+derive from `polyring.Record`, which compiles each record's constructor
+from its field names, so no module loads `dataclasses` or `typing`, nor
+`inspect` and `ast` (which `dataclasses` loads with `dis` and `tokenize`).
+`fractions` (with `decimal` and `numbers`) is loaded only by
+`constructions`, so only `construct` and `counterexample` load it, and no
+command loads `pathlib`.
 """
 
 from importlib import import_module as _import_module

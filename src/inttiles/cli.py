@@ -219,6 +219,9 @@ def _run_check_tiling(args):
         tile = _parse_set(args.tile)
         complement = _parse_set(args.complement)
         modulus = args.modulus
+    # no residue bitmask can be indexed past sys.maxsize, so --force stops there
+    if modulus > sys.maxsize:
+        raise ValueError(f"modulus {modulus} exceeds sys.maxsize {sys.maxsize}, even with --force")
     if modulus > MODULUS_SAFETY_LIMIT and not args.force:
         raise ValueError(
             f"modulus {modulus} exceeds the safety limit "

@@ -45,27 +45,14 @@ class CmReport(Record):
     None otherwise and omitted from JSON.
     """
 
-    def __init__(
-        self,
-        spectrum: tuple[int, ...],
-        t1: bool,
-        t2: bool,
-        lcm_sa: int,
-        phi_lcm_divides: bool,
-        diam: int,
-        half_bound_holds: bool | None = None,
-        eq3_holds: bool | None = None,
-    ):
-        vars(self).update(
-            spectrum=spectrum,
-            t1=t1,
-            t2=t2,
-            lcm_sa=lcm_sa,
-            phi_lcm_divides=phi_lcm_divides,
-            diam=diam,
-            half_bound_holds=half_bound_holds,
-            eq3_holds=eq3_holds,
-        )
+    spectrum: tuple[int, ...]
+    t1: bool
+    t2: bool
+    lcm_sa: int
+    phi_lcm_divides: bool
+    diam: int
+    half_bound_holds: bool | None = None
+    eq3_holds: bool | None = None
 
 
 def cm_report(tile: IntegerSet) -> CmReport:
@@ -131,18 +118,12 @@ class FiberDecomposition(Record):
     it. unique is False when a second, different decomposition exists.
     """
 
-    def __init__(
-        self,
-        modulus: int,
-        p: int,
-        q: int,
-        p_fibers: tuple[int, ...],
-        q_fibers: tuple[int, ...],
-        unique: bool,
-    ):
-        vars(self).update(
-            modulus=modulus, p=p, q=q, p_fibers=p_fibers, q_fibers=q_fibers, unique=unique
-        )
+    modulus: int
+    p: int
+    q: int
+    p_fibers: tuple[int, ...]
+    q_fibers: tuple[int, ...]
+    unique: bool
 
 
 def fiber_decompose(

@@ -110,27 +110,14 @@ class Theorem2Params(Record):
 class Theorem2Checks(Record):
     """Verdicts recorded while validating a generated instance."""
 
-    def __init__(
-        self,
-        tiling_base: bool,
-        tiling_shifted: bool,
-        shifted_least_period: int,
-        shifted_period_is_modulus: bool,
-        base_least_period: int,
-        base_period_proper: bool,
-        prime_set_match: bool,
-        diam_within_bound: bool,
-    ):
-        vars(self).update(
-            tiling_base=tiling_base,
-            tiling_shifted=tiling_shifted,
-            shifted_least_period=shifted_least_period,
-            shifted_period_is_modulus=shifted_period_is_modulus,
-            base_least_period=base_least_period,
-            base_period_proper=base_period_proper,
-            prime_set_match=prime_set_match,
-            diam_within_bound=diam_within_bound,
-        )
+    tiling_base: bool
+    tiling_shifted: bool
+    shifted_least_period: int
+    shifted_period_is_modulus: bool
+    base_least_period: int
+    base_period_proper: bool
+    prime_set_match: bool
+    diam_within_bound: bool
 
     def all_pass(self) -> bool:
         return (
@@ -146,25 +133,13 @@ class Theorem2Checks(Record):
 class Theorem2Instance(Record):
     """A generated and verified column-shift tiling."""
 
-    def __init__(
-        self,
-        params: Theorem2Params,
-        tile: IntegerSet,
-        complement_base: IntegerSet,
-        complement: IntegerSet,
-        shift_a: int,
-        shift_b: int,
-        checks: Theorem2Checks,
-    ):
-        vars(self).update(
-            params=params,
-            tile=tile,
-            complement_base=complement_base,
-            complement=complement,
-            shift_a=shift_a,
-            shift_b=shift_b,
-            checks=checks,
-        )
+    params: Theorem2Params
+    tile: IntegerSet
+    complement_base: IntegerSet
+    complement: IntegerSet
+    shift_a: int
+    shift_b: int
+    checks: Theorem2Checks
 
     @property
     def modulus(self) -> int:
@@ -282,17 +257,12 @@ def theorem2_generate(params: Theorem2Params) -> Theorem2Instance:
 class CounterexampleReport(Record):
     """Numbers refuting diam >= (p-1)/p * lcm(S_A) for general sets."""
 
-    def __init__(
-        self, p: int, q: int, modulus: int, diam: int, eq3_threshold: int, eq3_holds: bool
-    ):
-        vars(self).update(
-            p=p,
-            q=q,
-            modulus=modulus,
-            diam=diam,
-            eq3_threshold=eq3_threshold,
-            eq3_holds=eq3_holds,
-        )
+    p: int
+    q: int
+    modulus: int
+    diam: int
+    eq3_threshold: int
+    eq3_holds: bool
 
 
 def diameter_counterexample(p: int, q: int) -> tuple[IntegerSet, CounterexampleReport]:

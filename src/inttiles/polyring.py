@@ -1,7 +1,9 @@
 """Records, integer factoring, and the one exact cyclotomic test.
 
 Everything here is exact arithmetic on Python ints. Record is the base of
-every value class. factorize returns a number's (prime, exponent) pairs as
+every value class: a record declares its fields once, as class annotations,
+and unless it writes its own __init__, Record compiles one from them when
+the class is defined. factorize returns a number's (prime, exponent) pairs as
 a plain tuple, which divisors and euler_phi read. cyclotomic_divides, the
 library's one test for Phi_s | f, works on sparse exponent maps, so it
 stays usable for sets with diameters in the hundreds of thousands: the
@@ -24,11 +26,18 @@ JSON_CONVERTERS: dict = {}
 class Record:
     """Base of the immutable value classes: named fields, compared by value.
 
-    A subclass's __init__ stores its fields with vars(self) in declaration
-    order and then checks them. Records of one class are equal when their
-    fields are, the hash is that of the field tuple, and the repr is
-    Name(field=value, ...). Assigning or deleting an attribute raises
-    AttributeError. Pickle and copy restore the fields into vars() directly.
+    A subclass that writes no __init__ declares its fields once, as class
+    annotations in order, a class value being the field's default. When the
+    class is defined, Record compiles its __init__(self, field, ...), whose
+    body stores the fields with vars(self).update, as collections.namedtuple
+    builds __new__: the defaults move into the signature and out of the
+    class, and a required field after a defaulted one is a SyntaxError then,
+    as in a def. The annotations are read as names only. A subclass that
+    normalizes or checks its input writes its own __init__, which stores the
+    fields with vars(self) in declaration order. Records of one class are
+    equal when their fields are, the hash is that of the field tuple, and
+    the repr is Name(field=value, ...). Assigning or deleting an attribute
+    raises AttributeError. Pickle and copy restore the fields into vars().
 
     to_json_dict is the JSON object of every report: keys are the fields in
     declaration order, and fields that are None are left out. Tuples become
@@ -38,6 +47,23 @@ class Record:
     are matched exactly, not by isinstance, to keep this cheap: corpus runs
     two reports per line.
     """
+
+    def __init_subclass__(cls):
+        own = vars(cls)
+        if "__init__" in own:
+            return
+        fields = own.get("__annotations__", {})
+        # a default is a global of the compiled code, under its field's name;
+        # the def sits in a class of the record's name for its __qualname__
+        defaults = {name: own[name] for name in fields if name in own}
+        params = ", ".join(f"{name}={name}" if name in defaults else name for name in fields)
+        stores = ", ".join(f"{name}={name}" for name in fields)
+        namespace = {"__name__": cls.__module__, **defaults}
+        exec(f"class {cls.__name__}:\n def __init__(self, {params}):\n"
+             f"  vars(self).update({stores})", namespace)
+        cls.__init__ = vars(namespace[cls.__name__])["__init__"]
+        for name in defaults:
+            delattr(cls, name)
 
     # __dict__ rather than vars(), which is a builtin call: about 100 ns
     # less for each comparison or hash (Python 3.11)

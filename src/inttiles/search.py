@@ -94,21 +94,11 @@ class PeriodResult(Record):
     explored lists each candidate modulus with its outcome.
     """
 
-    def __init__(
-        self,
-        status: str,
-        period: int | None,
-        complement: IntegerSet | None,
-        cap_used: int,
-        explored: tuple[tuple[int, str], ...] = (),
-    ):
-        vars(self).update(
-            status=status,
-            period=period,
-            complement=complement,
-            cap_used=cap_used,
-            explored=explored,
-        )
+    status: str
+    period: int | None
+    complement: IntegerSet | None
+    cap_used: int
+    explored: tuple[tuple[int, str], ...] = ()
 
 
 def find_complement(

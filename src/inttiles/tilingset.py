@@ -159,23 +159,12 @@ class TilingVerdict(Record):
     complement's mask polynomial, i.e. does not divide their product.
     """
 
-    def __init__(
-        self,
-        tiles: bool,
-        direct_route: bool,
-        cyclotomic_route: bool,
-        first_undercovered: int | None = None,
-        first_overcovered: int | None = None,
-        failing_divisor: int | None = None,
-    ):
-        vars(self).update(
-            tiles=tiles,
-            direct_route=direct_route,
-            cyclotomic_route=cyclotomic_route,
-            first_undercovered=first_undercovered,
-            first_overcovered=first_overcovered,
-            failing_divisor=failing_divisor,
-        )
+    tiles: bool
+    direct_route: bool
+    cyclotomic_route: bool
+    first_undercovered: int | None = None
+    first_overcovered: int | None = None
+    failing_divisor: int | None = None
 
     def __bool__(self) -> bool:
         return self.tiles
@@ -437,11 +426,3 @@ class CyclicTiling(Record):
             raise ValueError("|tile| * |complement| must equal the modulus")
         if not is_tiling(self.tile, self.complement, self.modulus):
             raise ValueError("not a tiling of Z_modulus")
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "CyclicTiling":
-        return CyclicTiling(
-            tile=IntegerSet(d["tile"]),
-            complement=IntegerSet(d["complement"]),
-            modulus=d["modulus"],
-        )

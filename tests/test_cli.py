@@ -146,6 +146,26 @@ def test_check_tiling_modulus_guard(tmp_path, monkeypatch):
         assert "--force" in err
 
 
+def test_check_tiling_forced_modulus_stops_at_maxsize(tmp_path, monkeypatch):
+    # no residue bitmask can be indexed past sys.maxsize: a forced modulus
+    # there was an OverflowError or an empty MemoryError (exit 4), and is now
+    # refused before is_tiling runs, inline or from --input
+    def forbidden(*args):
+        raise AssertionError("is_tiling reached past sys.maxsize")
+
+    monkeypatch.setattr(cli, "is_tiling", forbidden)
+    path = tmp_path / "tiling.json"
+    for modulus in (sys.maxsize + 1, 99999999999999999999999):
+        path.write_text(json.dumps({"tile": [0, 1], "complement": [0, 2], "modulus": modulus}))
+        inline = ("--tile", "0,1", "--complement", "0,2", "--modulus", str(modulus))
+        for source in (inline, ("--input", str(path))):
+            code, out, err = run_cli("check-tiling", *source, "--force")
+            assert code == 2
+            assert out == ""
+            refusal = f"modulus {modulus} exceeds sys.maxsize {sys.maxsize}, even with --force"
+            assert err == f"error: {refusal}\n"
+
+
 @pytest.mark.parametrize(
     "modulus", [("--modulus", "0"), ("--modulus=-4",)], ids=["zero", "negative"]
 )
@@ -869,13 +889,16 @@ def _cli_script(argv: list[str]) -> str:
 _LAZY_MODULES = ("inttiles.search", "inttiles.cmcheck", "inttiles.constructions")
 _POOLS = ("concurrent", "multiprocessing")
 _FRACTION_MODULES = ("fractions", "decimal", "numbers")
-_WATCHED = (*_POOLS, *_LAZY_MODULES, "dataclasses", "typing", *_FRACTION_MODULES, "pathlib")
+_COMPILERS = ("dataclasses", "typing", "inspect", "ast")
+_WATCHED = (*_POOLS, *_LAZY_MODULES, *_COMPILERS, *_FRACTION_MODULES, "pathlib")
 
 # The module-loading contract: script -> (the script, the watched modules it
 # loads beyond those `python -S -c pass` holds). Serial runs start no process
 # pool. search, cmcheck and constructions load only in the commands that run
 # them. The value classes derive from polyring.Record, so nothing loads
-# dataclasses (which loads inspect, ast, dis and tokenize) or typing. Only
+# dataclasses (which loads inspect, ast, dis and tokenize) or typing, and
+# Record compiles each constructor with exec from its field names, so no row
+# loads inspect or ast either. Only
 # constructions makes a Fraction, so only its commands load fractions (with
 # decimal and numbers), and --input is read with open(), so none loads pathlib.
 _LOADS = {
@@ -939,7 +962,8 @@ def test_subcommand_loads_only_its_modules(watched_loads, name):
 
 @pytest.mark.parametrize("name", list(_LOADS))
 def test_no_dataclasses_or_typing(watched_loads, name):
-    _assert_loads(watched_loads, name, ("dataclasses", "typing"))
+    # nor inspect or ast, which a compiled constructor could pull in
+    _assert_loads(watched_loads, name, _COMPILERS)
 
 
 @pytest.mark.parametrize("name", list(_LOADS))

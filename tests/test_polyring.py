@@ -504,6 +504,25 @@ def test_vanishes_on_prime_power_towers(instance):
         assert verdict == (exact_divide(f, cyclotomic(s)) is not None)
 
 
+# F_q evaluation at two primes q > 2^61 checks cyclotomic_divides itself,
+# with no reference kernel, on random sparse maps and on large composite s
+@settings(max_examples=100, deadline=None)
+@given(sparse_maps())
+@example(({0: 1, 1: 1}, 4))  # p divides the count, but both classes are short
+def test_cyclotomic_divides_agrees_with_fq_on_sparse_maps(instance):
+    terms, s = instance
+    assert _fq_agrees(s, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tower_maps())
+@example(({0: 1, 1: 1, 2: 1}, 3**12))  # as many terms as p, in three short classes
+@example(({0: 1, 7**11: 1, 2 * 7**11: 2}, 7**12 * 13))  # s near 2 * 10^11
+def test_cyclotomic_divides_agrees_with_fq_on_prime_power_towers(instance):
+    terms, s = instance
+    assert _fq_agrees(s, terms)
+
+
 def test_vanishes_depth_is_the_number_of_primes(monkeypatch):
     # one level per distinct prime of s: a whole prime-power tower is peeled
     # at once, and a prime power is settled without recursing. The coset

@@ -1,6 +1,7 @@
 """The contract every value class keeps through polyring.Record."""
 
 import copy
+import gc
 import inspect
 import json
 import pickle
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from inttiles.cmcheck import cm_report, fiber_decompose
+from inttiles.cmcheck import CmReport, cm_report, fiber_decompose
 from inttiles.constructions import (
     Theorem2Checks,
     Theorem2Instance,
@@ -106,3 +107,43 @@ def test_to_json_dict_rule():
     odd = Theorem2Checks(object(), True, 4, True, 2, True, True, True)
     with pytest.raises(TypeError):
         json.dumps(odd.to_json_dict())
+
+
+def test_constructor_rule():
+    # the compiled __init__ binds its arguments as a def does
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'cap_used'"):
+        PeriodResult("tiles", 2, None)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        PeriodResult("tiles", 2, None, 4, extra=1)
+    with pytest.raises(TypeError, match="multiple values for argument 'status'"):
+        PeriodResult("tiles", 2, None, 4, status="tiles")
+    assert PeriodResult("tiles", 2, None, 4) == PeriodResult("tiles", 2, None, cap_used=4)
+    assert PeriodResult.__init__.__qualname__ == "PeriodResult.__init__"
+    # a default moves into the signature and out of the class namespace
+    assert "explored" not in vars(PeriodResult)
+    assert "half_bound_holds" not in vars(CmReport)
+    assert inspect.signature(CmReport).parameters["half_bound_holds"].default is None
+    # a record that writes its own __init__ keeps it
+    for cls in (IntPolynomial, IntegerSet, Theorem2Params, CyclicTiling):
+        assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+        assert cls.__init__.__code__.co_filename == inspect.getfile(cls)
+    assert PeriodResult.__init__.__code__.co_filename == "<string>"
+
+
+def test_required_field_after_default_fails_at_definition():
+    with pytest.raises(SyntaxError):
+
+        class Throwaway(Record):
+            optional: int = 0
+            required: int
+
+    class Fine(Record):
+        required: int
+        optional: int = 0
+
+    assert repr(Fine(1)) == f"{Fine.__qualname__}(required=1, optional=0)"
+    assert "optional" not in vars(Fine)
+    # both throwaway classes leave Record's subclasses, which the contract counts
+    del Fine
+    gc.collect()
+    assert len(Record.__subclasses__()) == 11

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 import sys
@@ -823,9 +822,3 @@ def test_cyclic_tiling_rejects_invalid():
         CyclicTiling(IntegerSet.of(0, 1), IntegerSet.of(0, 5), 4)
     with pytest.raises(ValueError):
         CyclicTiling(IntegerSet.of(0, 1), IntegerSet.of(0, 2), 8)
-
-
-def test_cyclic_tiling_json_roundtrip():
-    t = CyclicTiling(IntegerSet.of(0, 1, 4, 5), IntegerSet.of(0, 2), 8)
-    blob = json.dumps(t.to_json_dict())
-    assert CyclicTiling.from_json_dict(json.loads(blob)) == t
